@@ -195,3 +195,8 @@ func TestRunShardBounds(t *testing.T) {
 		}
 	}
 }
+
+// finalizeMerged turns fully merged shard counts into the Result.
+func finalizeMerged(p *Prepared, opt Options, counts *maxt.Counts) (*Result, error) {
+	return FinalizeCounts(p, opt, counts)
+}
