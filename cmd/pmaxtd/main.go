@@ -91,9 +91,6 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	maxBody := fs.Int64("max-body", 256<<20, "maximum submission body bytes")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	kernel := fs.String("kernel", "auto", "accumulation kernel: auto, generic, sse2, avx2 (results are identical on all)")
-	mode := fs.String("mode", "exact", "default run mode for submissions that set none: exact or sequential")
-	seqAlpha := fs.Float64("seq-alpha", 0, "default sequential significance level for submissions that set none (0 = engine default 0.05)")
-	seqTol := fs.Float64("seq-tolerance", 0, "default sequential p-value tolerance for submissions that set none (0 = engine default 0.02)")
 	metricsInterval := fs.Duration("metrics-interval", 0, "flush a metrics snapshot to the log this often (0 = final snapshot only)")
 	tenantLimits := fs.String("tenant-limits", "", `per-tenant token buckets: "rate=R,burst=N" defaults plus "tenant=R:N" overrides (empty or "off" = unlimited)`)
 	queuePolicy := fs.String("queue-policy", "fair", "queue discipline: fair (interactive overtakes bulk) or fifo (arrival order)")
@@ -142,11 +139,6 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 	case "standalone", "coordinator", "worker":
 	default:
 		return fmt.Errorf("unknown -role %q (want standalone, coordinator or worker)", *role)
-	}
-	switch *mode {
-	case "", sprint.ModeExact, sprint.ModeSequential:
-	default:
-		return fmt.Errorf("unknown -mode %q (want exact or sequential)", *mode)
 	}
 	if *role != "worker" && *join != "" {
 		return errors.New("-join requires -role worker")
@@ -233,24 +225,21 @@ func run(args []string, stdout io.Writer, stop <-chan struct{}) error {
 
 	srv, err := sprint.NewServer(sprint.ServerConfig{
 		Jobs: sprint.JobsConfig{
-			Workers:             *workers,
-			QueueDepth:          *queue,
-			DefaultNProcs:       *nprocs,
-			DefaultEvery:        *every,
-			DefaultMode:         *mode,
-			DefaultSeqAlpha:     *seqAlpha,
-			DefaultSeqTolerance: *seqTol,
-			CacheSize:           *cache,
-			CheckpointDir:       *ckptDir,
-			JournalDir:          *journalDir,
-			DatasetCacheSize:    *dsCache,
-			DatasetDir:          *dsDir,
-			Metrics:             reg,
-			QueuePolicy:         *queuePolicy,
-			InteractiveMaxB:     *interactiveB,
-			TenantLimits:        limits,
-			MaxQueueWait:        *maxQueueWait,
-			Distributor:         dist,
+			Workers:          *workers,
+			QueueDepth:       *queue,
+			DefaultNProcs:    *nprocs,
+			DefaultEvery:     *every,
+			CacheSize:        *cache,
+			CheckpointDir:    *ckptDir,
+			JournalDir:       *journalDir,
+			DatasetCacheSize: *dsCache,
+			DatasetDir:       *dsDir,
+			Metrics:          reg,
+			QueuePolicy:      *queuePolicy,
+			InteractiveMaxB:  *interactiveB,
+			TenantLimits:     limits,
+			MaxQueueWait:     *maxQueueWait,
+			Distributor:      dist,
 		},
 		MaxBodyBytes: *maxBody,
 		Logger:       logger,

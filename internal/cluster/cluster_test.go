@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"sprint/internal/core"
+	"sprint/internal/jobs"
 	"sprint/internal/maxt"
+	"sprint/internal/metrics"
 )
 
 // TestPartitionRange pins the Figure-2 partitioning: deterministic,
@@ -105,6 +107,39 @@ func TestLedgerExactlyOnce(t *testing.T) {
 	st.deliver(rec, resp(0, 100, 100, 0xfeed, rows, 7), "w")
 	if st.merged.B != 100 || st.merged.Raw[0] != 7 || st.merged.Adj[0] != 7 {
 		t.Fatalf("duplicate delivery double-counted: B=%d raw=%v", st.merged.B, st.merged.Raw)
+	}
+}
+
+// TestAdoptLedgerRequiresCRC: a journaled delivery is adopted only when
+// its CRC verifies — a zero (missing) checksum is a mismatch, so its
+// span recomputes instead of merging unverified counts.
+func TestAdoptLedgerRequiresCRC(t *testing.T) {
+	const rows = 2
+	reg := metrics.New()
+	c := NewCoordinator(CoordinatorConfig{Metrics: reg})
+	plan := core.Plan{TotalB: 100, Rows: rows, Fingerprint: 0xfeed}
+	delivery := func(lo, hi int64, stamp bool) jobs.LedgerDelivery {
+		r := resp(lo, hi, hi, 0xfeed, rows, 3)
+		r.TotalB = plan.TotalB
+		d := jobs.LedgerDelivery{Lo: lo, Next: hi, Hi: hi, B: r.B, Raw: r.Raw, Adj: r.Adj}
+		if stamp {
+			d.CRC64 = r.CRC()
+		}
+		return d
+	}
+	ad := c.adoptLedger(&jobs.LedgerState{
+		Fingerprint: plan.Fingerprint, TotalB: plan.TotalB, Rows: rows,
+		Spans:      [][2]int64{{0, 50}, {50, 100}},
+		Deliveries: []jobs.LedgerDelivery{delivery(0, 50, false), delivery(50, 100, true)},
+	}, plan, false, 0, nil)
+	if ad == nil || len(ad.deliveries) != 1 || ad.deliveries[0].Lo != 50 {
+		t.Fatalf("adoption %+v, want only the CRC-stamped delivery [50, 100)", ad)
+	}
+	if len(ad.remaining) != 1 || ad.remaining[0] != [2]int64{0, 50} {
+		t.Fatalf("remaining %v, want the zero-CRC span [0, 50) re-dispatched", ad.remaining)
+	}
+	if n := reg.Counter("integrity_shard_corrupt_total").Value(); n != 1 {
+		t.Fatalf("integrity_shard_corrupt_total = %d, want 1", n)
 	}
 }
 

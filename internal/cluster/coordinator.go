@@ -628,7 +628,7 @@ func (c *Coordinator) RunJob(ctx context.Context, req jobs.DistRequest) (*core.R
 		c.metLedgerJobs.Inc()
 		for i := range adopt.deliveries {
 			d := &adopt.deliveries[i]
-			mergeMasked(merged, d.Raw, d.Adj, d.B, frozen)
+			merged.MergeMasked(&maxt.Counts{Raw: d.Raw, Adj: d.Adj, B: d.B}, nil, frozen)
 			if d.Lo == 0 {
 				seenObserved = true
 			}
@@ -664,58 +664,42 @@ func (c *Coordinator) RunJob(ctx context.Context, req jobs.DistRequest) (*core.R
 	// An adopted sequential merge may already satisfy the stopping rule;
 	// do not dispatch what the rule says we do not need.
 	if sequential && seenObserved && len(spans) > 0 {
-		if settled, serr := core.SeqAllSettledFrozen(req.Prepared, seqOpt, merged, frozen); serr == nil && settled {
+		if settled, serr := core.SeqAllSettled(req.Prepared, seqOpt, merged, frozen); serr == nil && settled {
 			spans = nil
 			c.seqStops.Add(1)
 			c.metSeqStops.Inc()
 		}
 	}
 
+	// The shard phase — first dispatch to last merge — is the
+	// distributed main kernel of the paper's profile.
+	var kernel time.Duration
 	if len(spans) > 0 {
+		shardStart := time.Now()
 		if err := c.runShards(ctx, runShardsParams{
 			req: req, plan: plan, seq: sequential, seqOpt: seqOpt,
 			seenObserved: seenObserved, frozen: frozen, led: led,
 		}, merged, spans, workers); err != nil {
 			return nil, err
 		}
+		kernel = time.Since(shardStart)
 	}
 	nprocs := len(workers)
 	if nprocs == 0 {
 		nprocs = 1
 	}
+	finOpt := req.Opt
 	if sequential {
-		res, err := core.FinalizeCountsSequentialFrozen(req.Prepared, seqOpt, merged, frozen)
-		if err != nil {
-			return nil, err
-		}
-		res.NProcs = nprocs
-		return res, nil
+		finOpt = seqOpt
 	}
-	res, err := core.FinalizeCounts(req.Prepared, req.Opt, merged)
+	res, err := core.Finalize(req.Prepared, finOpt, merged, frozen)
 	if err != nil {
 		return nil, err
 	}
 	res.NProcs = nprocs
+	res.Profile.MainKernel = kernel
+	res.KernelMax = kernel
 	return res, nil
-}
-
-// mergeMasked merges one delivery's counts, pinning rows a resumed
-// sequential checkpoint froze: their exceedance counts stay at the
-// checkpoint values (their denominators are the checkpoint's BEff, not
-// the job's B), while B — the shared denominator of the active rows —
-// always advances.
-func mergeMasked(dst *maxt.Counts, raw, adj []int64, b int64, frozen []int64) {
-	if frozen == nil {
-		dst.Merge(&maxt.Counts{Raw: raw, Adj: adj, B: b})
-		return
-	}
-	for i := range raw {
-		if frozen[i] == 0 {
-			dst.Raw[i] += raw[i]
-			dst.Adj[i] += adj[i]
-		}
-	}
-	dst.B += b
 }
 
 // adoption is the validated outcome of replaying a job's durable merge
@@ -795,15 +779,13 @@ func (c *Coordinator) adoptLedger(rep *jobs.LedgerState, plan core.Plan, sequent
 			len(d.Raw) != plan.Rows || len(d.Adj) != plan.Rows {
 			continue
 		}
-		if d.CRC64 != 0 {
-			chk := ShardResponse{
-				Lo: d.Lo, Next: d.Next, Hi: d.Hi, TotalB: plan.TotalB,
-				Fingerprint: plan.Fingerprint, B: d.B, Raw: d.Raw, Adj: d.Adj,
-			}
-			if chk.CRC() != d.CRC64 {
-				c.metShardCorrupt.Inc()
-				continue
-			}
+		chk := ShardResponse{
+			Lo: d.Lo, Next: d.Next, Hi: d.Hi, TotalB: plan.TotalB,
+			Fingerprint: plan.Fingerprint, B: d.B, Raw: d.Raw, Adj: d.Adj,
+		}
+		if chk.CRC() != d.CRC64 {
+			c.metShardCorrupt.Inc()
+			continue
 		}
 		lo[idx] = d.Next
 		adopted = append(adopted, d)
@@ -1057,7 +1039,7 @@ func (st *jobState) deliver(rec *shardRec, resp *ShardResponse, from string) {
 		len(resp.Raw) == rows && len(resp.Adj) == rows
 	var ledDel *jobs.LedgerDelivery
 	if ok {
-		mergeMasked(st.merged, resp.Raw, resp.Adj, resp.B, st.frozen)
+		st.merged.MergeMasked(&maxt.Counts{Raw: resp.Raw, Adj: resp.Adj, B: resp.B}, nil, st.frozen)
 		rec.lo = resp.Next
 		if rec.lo == rec.hi {
 			rec.done = true
@@ -1086,7 +1068,7 @@ func (st *jobState) deliver(rec *shardRec, resp *ShardResponse, from string) {
 				st.seenObserved = true
 			}
 			if st.seenObserved && st.remaining > 0 {
-				if settled, serr := core.SeqAllSettledFrozen(st.req.Prepared, st.seqOpt, st.merged, st.frozen); serr == nil && settled {
+				if settled, serr := core.SeqAllSettled(st.req.Prepared, st.seqOpt, st.merged, st.frozen); serr == nil && settled {
 					st.earlyStop = true
 					st.c.seqStops.Add(1)
 					st.c.metSeqStops.Inc()
@@ -1280,7 +1262,7 @@ func (c *Coordinator) attempt(st *jobState, m *member, rec *shardRec, pushed *bo
 			// its duplicate-suppression contract), which would leave the
 			// shard waiting on a straggler tick that never comes.  A
 			// rejected delivery re-dispatches immediately instead.
-			if resp.CRC64 != 0 && resp.CRC64 != resp.CRC() {
+			if resp.CRC64 != resp.CRC() {
 				c.cfg.Logger.LogAttrs(st.ctx, slog.LevelWarn, "cluster_shard_corrupt",
 					slog.String("worker", m.addr), slog.Int64("lo", lo), slog.Int64("hi", hi))
 				c.metShardCorrupt.Inc()

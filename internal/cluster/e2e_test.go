@@ -60,6 +60,13 @@ func newWorkerNode(t *testing.T, wrap func(http.Handler) http.Handler) *workerNo
 // the result.
 func runOn(t *testing.T, m *jobs.Manager, x matrix.Matrix, labels []int, opt core.Options) *core.Result {
 	t.Helper()
+	res, _ := runOnStatus(t, m, x, labels, opt)
+	return res
+}
+
+// runOnStatus is runOn also returning the job's final status.
+func runOnStatus(t *testing.T, m *jobs.Manager, x matrix.Matrix, labels []int, opt core.Options) (*core.Result, jobs.Status) {
+	t.Helper()
 	info, _, err := m.PutDataset(x)
 	if err != nil {
 		t.Fatal(err)
@@ -82,12 +89,12 @@ func runOn(t *testing.T, m *jobs.Manager, x matrix.Matrix, labels []int, opt cor
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res
+			return res, got
 		}
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("job %s did not finish", st.ID)
-	return nil
+	return nil, jobs.Status{}
 }
 
 // sameRes asserts bitwise identity of everything the engine reports per
@@ -350,6 +357,31 @@ func TestClusterDrainPartialHandoff(t *testing.T) {
 
 // TestClusterDeclinesSmallJobs pins the MinDistB admission gate: tiny
 // jobs fall back to the manager's local path (ErrNotDistributed) and
+// TestClusterProfileMainKernel: a distributed job's profile reports the
+// coordinator's shard phase — first dispatch to last merge — as its main
+// kernel and KernelMax, within the job's own wall time.
+func TestClusterProfileMainKernel(t *testing.T) {
+	x := synthX(40, 12, 9)
+	lab := []int{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}
+	opt := core.Options{Test: "t", B: 2000, Seed: 3}
+	w := newWorkerNode(t, nil)
+	if _, _, err := w.srv.Manager().PutDataset(x); err != nil {
+		t.Fatal(err)
+	}
+	coord, cm := coordManager(t, cluster.CoordinatorConfig{Workers: []string{w.ts.URL}})
+	res, st := runOnStatus(t, cm, x, lab, opt)
+	if n := coord.Info().Coordinator.JobsDistributed; n != 1 {
+		t.Fatalf("jobs distributed = %d, want 1", n)
+	}
+	wall := st.FinishedAt.Sub(st.StartedAt)
+	if k := st.Profile.MainKernel; k <= 0 || k > wall {
+		t.Fatalf("MainKernel = %v, want in (0, %v]", k, wall)
+	}
+	if res.KernelMax != res.Profile.MainKernel {
+		t.Fatalf("KernelMax = %v, want the shard phase %v", res.KernelMax, res.Profile.MainKernel)
+	}
+}
+
 // still complete.
 func TestClusterDeclinesSmallJobs(t *testing.T) {
 	x := synthX(10, 12, 5)

@@ -25,7 +25,7 @@ func TestShardResponseCRC(t *testing.T) {
 	}
 	want := base.CRC()
 	if want == 0 {
-		t.Fatal("CRC of a populated response is zero (zero means legacy/no checksum)")
+		t.Fatal("CRC of a populated response is zero (zero reads as a missing checksum)")
 	}
 	if got := base.CRC(); got != want {
 		t.Fatalf("CRC not stable: %x then %x", want, got)
@@ -64,12 +64,11 @@ func TestShardResponseCRC(t *testing.T) {
 	}
 }
 
-// corruptOnce wraps a worker handler and flips one Raw count in the
-// FIRST shard response while leaving the response's CRC64 stale — the
-// wire-level silent corruption the coordinator's end-to-end check
-// exists to catch.  Deterministic, unlike a random byte flip: the JSON
-// stays valid, so only the CRC check can reject it.
-func corruptOnce(done *atomic.Bool) func(http.Handler) http.Handler {
+// tamperOnce wraps a worker handler and applies mut to the FIRST shard
+// response — the wire-level silent corruption the coordinator's
+// end-to-end check exists to catch.  Deterministic, unlike a random
+// byte flip: the JSON stays valid, so only the CRC check can reject it.
+func tamperOnce(done *atomic.Bool, mut func(*cluster.ShardResponse)) func(http.Handler) http.Handler {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if !strings.HasSuffix(r.URL.Path, "/cluster/v1/shards") || done.Load() {
@@ -81,7 +80,7 @@ func corruptOnce(done *atomic.Bool) func(http.Handler) http.Handler {
 			body := rec.Body.Bytes()
 			var resp cluster.ShardResponse
 			if rec.Code == http.StatusOK && json.Unmarshal(body, &resp) == nil && len(resp.Raw) > 0 && done.CompareAndSwap(false, true) {
-				resp.Raw[0] += 7 // silent damage; CRC64 left describing the true counts
+				mut(&resp)
 				body, _ = json.Marshal(&resp)
 			}
 			for k, vs := range rec.Header() {
@@ -96,18 +95,19 @@ func corruptOnce(done *atomic.Bool) func(http.Handler) http.Handler {
 	}
 }
 
-// TestClusterCorruptShardRedispatch is the end-to-end integrity check:
-// a worker whose first shard response carries silently damaged counts
-// (valid JSON, stale CRC) must be caught by the coordinator, the shard
-// re-dispatched, and the final result bitwise identical to a clean run.
-func TestClusterCorruptShardRedispatch(t *testing.T) {
-	x := synthX(25, 12, 31)
+// checkTamperedShardRedispatch runs a two-worker job whose first shard
+// response is tampered with by mut, and requires the coordinator to
+// reject it, count it, re-dispatch the shard and still finish bitwise
+// identical to a clean run.
+func checkTamperedShardRedispatch(t *testing.T, seed uint64, mut func(*cluster.ShardResponse)) {
+	t.Helper()
+	x := synthX(25, 12, seed)
 	lab := []int{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}
 	opt := core.Options{Test: "t", Side: "abs", FixedSeedSampling: "y", B: 400, Seed: 5}
 	want := standalone(t, x, lab, opt)
 
-	var corrupted atomic.Bool
-	w1 := newWorkerNode(t, corruptOnce(&corrupted))
+	var tampered atomic.Bool
+	w1 := newWorkerNode(t, tamperOnce(&tampered, mut))
 	w2 := newWorkerNode(t, nil)
 	for _, n := range []*workerNode{w1, w2} {
 		if _, _, err := n.srv.Manager().PutDataset(x); err != nil {
@@ -121,20 +121,33 @@ func TestClusterCorruptShardRedispatch(t *testing.T) {
 	})
 
 	got := runOn(t, cm, x, lab, opt)
-	sameRes(t, "corrupt-shard", got, want)
+	sameRes(t, "tampered-shard", got, want)
 
-	if !corrupted.Load() {
-		t.Fatal("test harness never injected the corrupt response")
+	if !tampered.Load() {
+		t.Fatal("test harness never tampered with a response")
 	}
 	if n := reg.Counter("integrity_shard_corrupt_total").Value(); n == 0 {
-		t.Error("corrupt shard not counted by integrity_shard_corrupt_total")
+		t.Error("tampered shard not counted by integrity_shard_corrupt_total")
 	}
 	if n := reg.Counter("cluster_shard_retries_total", "reason", "corrupt").Value(); n == 0 {
-		t.Error("corrupt shard not re-dispatched (no corrupt-reason retry)")
+		t.Error("tampered shard not re-dispatched (no corrupt-reason retry)")
 	}
 	if coord.Info().Coordinator.ShardRetries == 0 {
 		t.Error("ShardRetries not incremented")
 	}
+}
+
+// TestClusterCorruptShardRedispatch is the end-to-end integrity check:
+// a worker whose first shard response carries silently damaged counts
+// (valid JSON, stale CRC) must be caught by the coordinator.
+func TestClusterCorruptShardRedispatch(t *testing.T) {
+	checkTamperedShardRedispatch(t, 31, func(r *cluster.ShardResponse) { r.Raw[0] += 7 })
+}
+
+// TestClusterZeroCRCShardRejected: a delivery without a checksum is not
+// trusted either — there is no opt-out of the integrity check.
+func TestClusterZeroCRCShardRejected(t *testing.T) {
+	checkTamperedShardRedispatch(t, 34, func(r *cluster.ShardResponse) { r.CRC64 = 0 })
 }
 
 // TestClusterFaultInjectTransportCorrupt drives the same invariant

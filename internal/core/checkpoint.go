@@ -90,20 +90,13 @@ func (c *Checkpoint) EncodeFramed() ([]byte, error) {
 	return append(out, body.Bytes()...), nil
 }
 
-// DecodeCheckpointBytes reads a checkpoint from data, verifying the
-// integrity frame when present.  Bytes written before the frame existed
-// (a bare gob stream) still decode — the legacy path has no CRC, but a
-// truncated gob fails its own internal checks and is reported as
-// corrupt too.
+// DecodeCheckpointBytes reads a checkpoint written by EncodeFramed,
+// verifying its integrity frame.  Anything else — unframed bytes, a
+// truncated or torn frame, a CRC mismatch, or a body that is not exactly
+// one checkpoint — is ErrCheckpointCorrupt.
 func DecodeCheckpointBytes(data []byte) (*Checkpoint, error) {
 	if len(data) < 24 || !bytes.Equal(data[:8], ckptMagic[:]) {
-		// Legacy unframed gob: decode errors mean damage we cannot
-		// distinguish from truncation — treat as corrupt.
-		ck, err := DecodeCheckpoint(bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
-		}
-		return ck, nil
+		return nil, fmt.Errorf("%w: no integrity frame", ErrCheckpointCorrupt)
 	}
 	n := binary.LittleEndian.Uint64(data[8:16])
 	sum := binary.LittleEndian.Uint64(data[16:24])
@@ -114,9 +107,13 @@ func DecodeCheckpointBytes(data []byte) (*Checkpoint, error) {
 	if crc64.Checksum(body, ckptCRCTable) != sum {
 		return nil, fmt.Errorf("%w: CRC mismatch", ErrCheckpointCorrupt)
 	}
-	ck, err := DecodeCheckpoint(bytes.NewReader(body))
+	r := bytes.NewReader(body)
+	ck, err := DecodeCheckpoint(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d bytes trail the checkpoint", ErrCheckpointCorrupt, r.Len())
 	}
 	return ck, nil
 }

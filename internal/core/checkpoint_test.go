@@ -168,23 +168,55 @@ func TestFramedRoundtrip(t *testing.T) {
 	}
 }
 
-// TestFramedLegacyFallback: bytes written before the frame existed (bare
-// gob, no magic) must still decode, so an upgrade resumes old disk state.
-func TestFramedLegacyFallback(t *testing.T) {
+// TestDecodeRejectsUnframed: every disk checkpoint is framed, so bytes
+// without the frame — a bare gob stream included — are corrupt, never
+// decoded.
+func TestDecodeRejectsUnframed(t *testing.T) {
 	ck := &Checkpoint{TotalB: 77, Next: 33, Raw: []int64{9}, Adj: []int64{8}}
 	var buf bytes.Buffer
 	if err := ck.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeCheckpointBytes(buf.Bytes())
-	if err != nil {
-		t.Fatalf("legacy decode: %v", err)
+	for _, data := range [][]byte{buf.Bytes(), buf.Bytes()[:buf.Len()/2], nil} {
+		if _, err := DecodeCheckpointBytes(data); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Fatalf("unframed %d bytes: err=%v, want ErrCheckpointCorrupt", len(data), err)
+		}
 	}
-	if got.TotalB != 77 || got.Next != 33 || got.Raw[0] != 9 {
-		t.Fatalf("legacy roundtrip mismatch: %+v", got)
+}
+
+// FuzzDecodeCheckpointBytes: no input panics the decoder, and any input
+// it accepts is exactly what EncodeFramed writes for the decoded value.
+func FuzzDecodeCheckpointBytes(f *testing.F) {
+	for _, ck := range []*Checkpoint{
+		{Fingerprint: 0xdeadbeefcafef00d, TotalB: 1000, Complete: true, Next: 400, Done: 400, Raw: []int64{1, 2, 3, 4}, Adj: []int64{4, 3, 2, 1}},
+		{TotalB: 77, Next: 33, Raw: []int64{9}, Adj: []int64{8}, BEff: []int64{5}},
+	} {
+		data, err := ck.EncodeFramed()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		var buf bytes.Buffer
+		if err := ck.Encode(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
 	}
-	// A truncated legacy stream is corrupt, not a zero-value checkpoint.
-	if _, err := DecodeCheckpointBytes(buf.Bytes()[:buf.Len()/2]); !errors.Is(err, ErrCheckpointCorrupt) {
-		t.Fatalf("truncated legacy: err=%v, want ErrCheckpointCorrupt", err)
-	}
+	f.Add([]byte("not a gob"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := DecodeCheckpointBytes(data)
+		if err != nil {
+			if !errors.Is(err, ErrCheckpointCorrupt) {
+				t.Fatalf("rejection is not ErrCheckpointCorrupt: %v", err)
+			}
+			return
+		}
+		again, err := ck.EncodeFramed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted input does not round-trip: %d bytes in, %d re-encoded", len(data), len(again))
+		}
+	})
 }

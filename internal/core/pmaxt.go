@@ -8,7 +8,6 @@ import (
 	"sprint/internal/matrix"
 	"sprint/internal/maxt"
 	"sprint/internal/mpi"
-	"sprint/internal/perm"
 	"sprint/internal/sprintfw"
 	"sprint/internal/stat"
 )
@@ -231,15 +230,11 @@ func evalPMaxT(c *mpi.Comm, args any) (any, error) {
 	start = time.Now()
 	classlabel = mpi.Bcast(c, 0, classlabel)
 	x = mpi.Bcast(c, 0, x)
-	design, err := stat.NewDesign(cfg.test, classlabel)
+	p, err := newPrepared(x, classlabel, cfg)
 	if err != nil {
 		return nil, err
 	}
-	prep, err := maxt.NewPrepMatrix(x, design, cfg.side, cfg.nonpara)
-	if err != nil {
-		return nil, err
-	}
-	useComplete, totalB, err := planPermutations(cfg, design)
+	plan, err := p.plan(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -248,28 +243,16 @@ func evalPMaxT(c *mpi.Comm, args any) (any, error) {
 	}
 
 	// ---- Step 4b: main kernel ------------------------------------------
-	// Each rank derives its chunk (boundaries aligned to whole kernel
-	// batches), forwards its generator to the chunk's first permutation
-	// (Figure 2) and accumulates local counts in permutation batches.
+	// Each rank runs its chunk (Figure 2, boundaries aligned to whole
+	// kernel batches) as one window of the range executor, which
+	// forwards the generator to the chunk's first permutation and
+	// accumulates local counts in permutation batches.
 	start = time.Now()
-	batch := cfg.effectiveBatch()
-	lo, hi := ChunkAligned(totalB, c.Size(), c.Rank(), batch)
-	var gen perm.Generator
-	switch {
-	case useComplete:
-		// Every rank builds the same generator, so the order knob (and
-		// with it the delta fast path) applies identically across ranks.
-		gen, err = cfg.completeGen(design)
-		if err != nil {
-			return nil, err
-		}
-	case cfg.fixedSeed:
-		gen = perm.NewRandom(design, cfg.seed, totalB)
-	default:
-		gen = perm.NewStored(design, cfg.seed, totalB, lo, hi)
+	lo, hi := ChunkAligned(plan.TotalB, c.Size(), c.Rank(), cfg.effectiveBatch())
+	counts, _, err := p.execute(cfg, plan, lo, hi, RunControl{NProcs: 1}, nil)
+	if err != nil {
+		return nil, err
 	}
-	counts := maxt.NewCounts(prep.Rows())
-	maxt.ProcessBatched(prep, gen, lo, hi, counts, nil, batch)
 	kernel := time.Since(start)
 	if master {
 		prof.MainKernel = kernel
@@ -287,24 +270,15 @@ func evalPMaxT(c *mpi.Comm, args any) (any, error) {
 		// return on workers.
 		return nil, nil
 	}
-	merged := &maxt.Counts{Raw: raw, Adj: adj, B: bTot[0]}
-	if merged.B != totalB {
-		return nil, fmt.Errorf("core: reduced permutation count %d, want %d", merged.B, totalB)
+	res, err := p.finalize(cfg, plan, &maxt.Counts{Raw: raw, Adj: adj, B: bTot[0]}, nil)
+	if err != nil {
+		return nil, err
 	}
-	final := maxt.Finalize(prep, merged)
 	prof.ComputePValues = time.Since(start)
-
-	return &Result{
-		Stat:      final.Stat,
-		RawP:      final.RawP,
-		AdjP:      final.AdjP,
-		Order:     final.Order,
-		B:         final.B,
-		Complete:  useComplete,
-		NProcs:    c.Size(),
-		Profile:   prof,
-		KernelMax: time.Duration(kernelMax[0]),
-	}, nil
+	res.NProcs = c.Size()
+	res.Profile = prof
+	res.KernelMax = time.Duration(kernelMax[0])
+	return res, nil
 }
 
 // broadcastParams performs the Step 2 wire protocol and returns the
@@ -437,82 +411,9 @@ func PMaxTMatrix(x matrix.Matrix, classlabel []int, nprocs int, opt Options) (*R
 }
 
 // MaxT is the serial baseline, equivalent to the original mt.maxT: the same
-// computation without any communication steps.  Its profile reports zero
-// broadcast time and the whole permutation loop as the main kernel.
+// computation without any communication steps — Run on one rank.  Its
+// profile reports zero broadcast time and the whole permutation loop as
+// the main kernel.
 func MaxT(x [][]float64, classlabel []int, opt Options) (*Result, error) {
-	m, err := rowsInput(x)
-	if err != nil {
-		return nil, err
-	}
-	return MaxTMatrix(m, classlabel, opt)
-}
-
-// MaxTMatrix is MaxT on the flat matrix the engine computes on; x is not
-// modified.
-func MaxTMatrix(x matrix.Matrix, classlabel []int, opt Options) (*Result, error) {
-	var prof Profile
-	start := time.Now()
-	cfg, err := parseOptions(opt)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.mode == modeSequential {
-		// Sequential runs need the supervised window loop (per-window
-		// stopping decisions); delegate rather than silently running a
-		// mode this fixed-work loop cannot honour.  Serial, like MaxT.
-		return RunMatrix(x, classlabel, opt, RunControl{NProcs: 1})
-	}
-	if x.IsEmpty() {
-		return nil, fmt.Errorf("core: empty input matrix")
-	}
-	clean := scrubNA(x, cfg.na)
-	prof.PreProcessing = time.Since(start)
-
-	start = time.Now()
-	design, err := stat.NewDesign(cfg.test, classlabel)
-	if err != nil {
-		return nil, err
-	}
-	prep, err := maxt.NewPrepMatrix(clean, design, cfg.side, cfg.nonpara)
-	if err != nil {
-		return nil, err
-	}
-	useComplete, totalB, err := planPermutations(cfg, design)
-	if err != nil {
-		return nil, err
-	}
-	prof.CreateData = time.Since(start)
-
-	start = time.Now()
-	var gen perm.Generator
-	switch {
-	case useComplete:
-		gen, err = cfg.completeGen(design)
-		if err != nil {
-			return nil, err
-		}
-	case cfg.fixedSeed:
-		gen = perm.NewRandom(design, cfg.seed, totalB)
-	default:
-		gen = perm.NewStored(design, cfg.seed, totalB, 0, totalB)
-	}
-	counts := maxt.NewCounts(prep.Rows())
-	maxt.ProcessBatched(prep, gen, 0, totalB, counts, nil, cfg.effectiveBatch())
-	prof.MainKernel = time.Since(start)
-
-	start = time.Now()
-	final := maxt.Finalize(prep, counts)
-	prof.ComputePValues = time.Since(start)
-
-	return &Result{
-		Stat:      final.Stat,
-		RawP:      final.RawP,
-		AdjP:      final.AdjP,
-		Order:     final.Order,
-		B:         final.B,
-		Complete:  useComplete,
-		NProcs:    1,
-		Profile:   prof,
-		KernelMax: prof.MainKernel,
-	}, nil
+	return Run(x, classlabel, opt, RunControl{NProcs: 1})
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -79,6 +78,17 @@ func Prepare(x matrix.Matrix, classlabel []int, opt Options) (*Prepared, error) 
 	scrubTime := time.Since(start)
 
 	start = time.Now()
+	p, err := newPrepared(clean, classlabel, cfg)
+	if err != nil {
+		return nil, err
+	}
+	p.scrubTime, p.buildTime = scrubTime, time.Since(start)
+	return p, nil
+}
+
+// newPrepared builds the preparation of an already NA-scrubbed matrix:
+// the one builder behind Prepare and every rank of the pmaxT collective.
+func newPrepared(clean matrix.Matrix, classlabel []int, cfg config) (*Prepared, error) {
 	design, err := stat.NewDesign(cfg.test, classlabel)
 	if err != nil {
 		return nil, err
@@ -94,8 +104,6 @@ func Prepare(x matrix.Matrix, classlabel []int, opt Options) (*Prepared, error) 
 		design: design,
 		prep:   prep,
 		test:   cfg.test, side: cfg.side, nonpara: cfg.nonpara, na: cfg.na,
-		scrubTime: scrubTime,
-		buildTime: time.Since(start),
 	}, nil
 }
 
@@ -121,6 +129,39 @@ func (p *Prepared) compatible(cfg config) error {
 	return nil
 }
 
+// planFor validates opt, checks prep compatibility and resolves the
+// permutation plan.
+func (p *Prepared) planFor(opt Options) (config, Plan, error) {
+	cfg, err := parseOptions(opt)
+	if err != nil {
+		return cfg, Plan{}, err
+	}
+	if err := p.compatible(cfg); err != nil {
+		return cfg, Plan{}, err
+	}
+	plan, err := p.plan(cfg)
+	return cfg, plan, err
+}
+
+// plan resolves the permutation plan of a validated config.
+func (p *Prepared) plan(cfg config) (Plan, error) {
+	useComplete, totalB, err := planPermutations(cfg, p.design)
+	if err != nil {
+		return Plan{}, err
+	}
+	if cfg.mode == modeSequential && useComplete {
+		return Plan{}, fmt.Errorf("core: mode \"sequential\" requires sampled permutations, but the plan resolved to the complete enumeration (%d labellings, which is exact by definition); run exact mode instead", totalB)
+	}
+	door := useComplete && cfg.doorOrder(p.design)
+	return Plan{
+		TotalB:      totalB,
+		Complete:    useComplete,
+		Door:        door,
+		Rows:        p.prep.Rows(),
+		Fingerprint: fingerprint(cfg, p.clean, p.labels, door),
+	}, nil
+}
+
 // RunPrepared executes the permutation testing function over a shared
 // preparation: the same bit-exact computation as RunMatrix with the same
 // inputs, minus every cost Prepare already paid.  opt must agree with the
@@ -142,66 +183,33 @@ func RunPrepared(p *Prepared, opt Options, ctl RunControl) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	var seq *seqState
 	if cfg.mode == modeSequential {
-		return runSequential(p, cfg, plan, ctl)
-	}
-	prep, totalB := p.prep, plan.TotalB
-
-	nprocs := ctl.NProcs
-	if nprocs < 1 {
-		nprocs = runtime.GOMAXPROCS(0)
-	}
-
-	counts := maxt.NewCounts(prep.Rows())
-	first := int64(0)
-	if ctl.Resume != nil {
-		r := ctl.Resume
-		if err := plan.checkResume(r, prep.Rows()); err != nil {
+		if seq, err = newSeqState(cfg, p.prep); err != nil {
 			return nil, err
 		}
-		// A full-run checkpoint is a pure prefix: counts cover [0, Next).
-		if r.Next != r.Done {
-			return nil, ckptMismatch("progress", fmt.Sprintf("counts for %d of %d permutations (a shard partial)", r.Done, r.Next), "a pure prefix (Next == Done)")
-		}
-		if r.BEff != nil {
-			return nil, ckptMismatch("mode", "sequential freeze state", "an exact-mode checkpoint")
-		}
-		copy(counts.Raw, r.Raw)
-		copy(counts.Adj, r.Adj)
-		counts.B = r.Done
-		first = r.Next
-	}
-
-	// One generator covering every remaining permutation; the window
-	// ranks index into their sub-chunks of it.
-	gen, err := p.generatorFor(cfg, plan, first, totalB)
-	if err != nil {
-		return nil, err
 	}
 	prof.CreateData = time.Since(start)
 
-	kernelStart := time.Now()
-	if _, err := processRange(p, cfg, plan, gen, counts, first, totalB, ctl); err != nil {
+	start = time.Now()
+	counts, _, err := p.execute(cfg, plan, 0, plan.TotalB, ctl, seq)
+	if err != nil {
 		return nil, err
 	}
-	prof.MainKernel = time.Since(kernelStart)
+	prof.MainKernel = time.Since(start)
 
 	start = time.Now()
-	if counts.B != totalB {
-		return nil, fmt.Errorf("core: accumulated permutation count %d, want %d", counts.B, totalB)
+	var frozen []int64
+	if seq != nil {
+		frozen = seq.t.BEff()
 	}
-	final := maxt.Finalize(prep, counts)
+	res, err := p.finalize(cfg, plan, counts, frozen)
+	if err != nil {
+		return nil, err
+	}
 	prof.ComputePValues = time.Since(start)
-
-	return &Result{
-		Stat:      final.Stat,
-		RawP:      final.RawP,
-		AdjP:      final.AdjP,
-		Order:     final.Order,
-		B:         final.B,
-		Complete:  plan.Complete,
-		NProcs:    nprocs,
-		Profile:   prof,
-		KernelMax: prof.MainKernel,
-	}, nil
+	res.NProcs = ctl.ranks()
+	res.Profile = prof
+	res.KernelMax = prof.MainKernel
+	return res, nil
 }

@@ -6,7 +6,10 @@ import (
 	"math"
 	"testing"
 
+	"sprint/internal/maxt"
 	"sprint/internal/microarray"
+	"sprint/internal/perm"
+	"sprint/internal/stat"
 )
 
 // runTestData builds a small two-class dataset with missing values, so the
@@ -52,21 +55,37 @@ func sameResult(t *testing.T, got, want *Result) {
 	}
 }
 
-func TestRunMatchesMaxT(t *testing.T) {
-	data, opt := runTestData(t)
-	want, err := MaxT(data.X, data.Labels, opt)
+// scalarReference runs the independent scalar maxt.Run over a fresh
+// preparation — no range executor, no batching, no ranks — as the
+// reference the engine's execution path must reproduce bit for bit.
+func scalarReference(t *testing.T, data *microarray.Dataset, opt Options) *Result {
+	t.Helper()
+	cfg, err := parseOptions(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d, err := stat.NewDesign(cfg.test, data.Labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := maxt.NewPrepMatrix(scrubNA(rowsInputT(t, data.X), cfg.na), d, cfg.side, cfg.nonpara)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gen perm.Generator = perm.NewRandom(d, cfg.seed, cfg.b)
+	if !cfg.fixedSeed {
+		gen = perm.NewStored(d, cfg.seed, cfg.b, 0, cfg.b)
+	}
+	r := maxt.Run(prep, gen)
+	return &Result{Stat: r.Stat, RawP: r.RawP, AdjP: r.AdjP, Order: r.Order, B: r.B}
+}
+
+func TestRunMatchesMaxT(t *testing.T) {
+	data, opt := runTestData(t)
 	for _, fss := range []string{"y", "n"} {
 		opt := opt
 		opt.FixedSeedSampling = fss
-		want := want
-		if fss == "n" {
-			if want, err = MaxT(data.X, data.Labels, opt); err != nil {
-				t.Fatal(err)
-			}
-		}
+		want := scalarReference(t, data, opt)
 		for _, nprocs := range []int{1, 3, 4} {
 			for _, every := range []int64{0, 1, 64, 1000} {
 				got, err := Run(data.X, data.Labels, opt, RunControl{NProcs: nprocs, Every: every})

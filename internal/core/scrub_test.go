@@ -50,8 +50,8 @@ func TestScrubNAReplacesCode(t *testing.T) {
 	}
 }
 
-// TestMatrixEntryPointsBitIdentical: the flat MaxTMatrix / PMaxTMatrix /
-// RunMatrix entry points must reproduce the row-based facade bit for bit,
+// TestMatrixEntryPointsBitIdentical: the flat PMaxTMatrix and RunMatrix
+// entry points (one rank and several) must reproduce the row-based facade bit for bit,
 // and must not modify the caller's matrix.
 func TestMatrixEntryPointsBitIdentical(t *testing.T) {
 	x := synthMatrix(15, 12, 4, 17)
@@ -67,7 +67,7 @@ func TestMatrixEntryPointsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := MaxTMatrix(m, lab, opt)
+	flat, err := RunMatrix(m, lab, opt, RunControl{NProcs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,17 +2,14 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"time"
 
 	"sprint/internal/maxt"
 	"sprint/internal/seqstop"
 )
 
-// This file is the sequential (early-stopping) engine: the windowed run
-// loop of processRange with the seqstop rules folded in at every window
-// boundary.  The design invariant that keeps it honest:
+// This file is the sequential (early-stopping) engine's state: the range
+// executor (execute, run.go) consults it at every window boundary to
+// apply the seqstop rules.  The design invariant that keeps it honest:
 //
 //   - A row's RAW count is independent of every other row, and its
 //     step-down ADJUSTED count depends only on rows at or below its
@@ -38,220 +35,47 @@ import (
 // early, so it falls back to this.
 const DefaultSeqWindow = 4096
 
-// runSequential executes the sequential engine over a resolved plan.
-func runSequential(p *Prepared, cfg config, plan Plan, ctl RunControl) (*Result, error) {
-	var prof Profile
-	start := time.Now()
-	prep, totalB := p.prep, plan.TotalB
+// seqState is the executor's optional sequential state: the stopping
+// rule's tracker, whose BEff is the frozen-row mask, and the kernel prep
+// compacted to the suffix of the significance order still needed.
+type seqState struct {
+	t       *seqstop.Tracker
+	full    *maxt.Prep
+	sub     *maxt.Prep // the kernel's prep: full until the first compaction
+	rows    []int      // sub row -> matrix row; nil = identity
+	removed int        // length of the frozen prefix sub no longer holds
+}
 
-	nprocs := ctl.NProcs
-	if nprocs < 1 {
-		nprocs = runtime.GOMAXPROCS(0)
-	}
-	batch := cfg.effectiveBatch()
-	every := ctl.Every
-	if every < 1 {
-		every = DefaultSeqWindow
-	}
-	eb := int64(batch)
-	every = (every + eb - 1) / eb * eb
-
+func newSeqState(cfg config, prep *maxt.Prep) (*seqState, error) {
 	sc, err := seqstop.New(cfg.seqAlpha, cfg.seqTol, prep.Valid)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	tracker := seqstop.NewTracker(sc, prep.Order, prep.Valid)
+	return &seqState{t: seqstop.NewTracker(sc, prep.Order, prep.Valid), full: prep, sub: prep}, nil
+}
 
-	counts := maxt.NewCounts(prep.Rows())
-	first := int64(0)
-	if ctl.Resume != nil {
-		r := ctl.Resume
-		if err := plan.checkResume(r, prep.Rows()); err != nil {
-			return nil, err
-		}
-		if r.Next != r.Done {
-			return nil, ckptMismatch("progress", fmt.Sprintf("counts for %d of %d permutations (a shard partial)", r.Done, r.Next), "a pure prefix (Next == Done)")
-		}
-		if r.BEff != nil && len(r.BEff) != prep.Rows() {
-			return nil, ckptMismatch("BEff rows", len(r.BEff), prep.Rows())
-		}
-		copy(counts.Raw, r.Raw)
-		copy(counts.Adj, r.Adj)
-		counts.B = r.Done
-		first = r.Next
-		if err := tracker.Restore(r.BEff); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCheckpointMismatch, err)
-		}
+// compact rebuilds the kernel's prep without the frozen prefix and
+// reports whether it did.  Unless force is set (a resumed run re-drops
+// everything its checkpoint froze), it waits until the droppable prefix
+// is a worthwhile fraction of what the kernel still computes.  The first
+// compaction also sheds rows with no computable statistic (positions >=
+// Valid), which contribute nothing to any count.  Compaction timing never
+// changes a count: frozen rows are masked out of every merge either way.
+func (s *seqState) compact(force bool) (bool, error) {
+	pfx := s.t.FrozenPrefix()
+	if pfx <= s.removed || pfx >= s.full.Valid {
+		return false, nil
 	}
-
-	gen, err := p.generatorFor(cfg, plan, first, totalB)
+	if d := pfx - s.removed; !force && (d < 32 || d*4 < s.sub.Rows()) {
+		return false, nil
+	}
+	rows := append([]int(nil), s.full.Order[pfx:s.full.Valid]...)
+	sub, err := s.full.Subset(rows)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	prof.CreateData = time.Since(start)
-
-	kernelStart := time.Now()
-
-	// The kernel computes sub — initially the full prep, later the
-	// compacted suffix of still-needed rows; subRows maps a sub row index
-	// back to its matrix row (nil = identity).
-	sub := prep
-	var subRows []int
-	removed := 0
-	compact := func(prefix int) error {
-		rows := make([]int, prep.Valid-prefix)
-		for i := range rows {
-			rows[i] = prep.Order[prefix+i]
-		}
-		s, err := prep.Subset(rows)
-		if err != nil {
-			return err
-		}
-		sub, subRows, removed = s, rows, prefix
-		return nil
-	}
-	if pfx := tracker.FrozenPrefix(); pfx > 0 && pfx < prep.Valid {
-		// A resumed run re-drops everything already frozen as a prefix;
-		// compaction timing never changes any count (frozen rows' counts
-		// are skipped at merge either way), so this is purely physical.
-		if err := compact(pfx); err != nil {
-			return nil, err
-		}
-	}
-
-	rs := ctl.Scratch
-	if rs == nil {
-		rs = &RunScratch{}
-	}
-	rs.ensure(sub, nprocs)
-
-	bEff := tracker.BEff()
-	for lo := first; lo < totalB && !tracker.AllFrozen(); lo += every {
-		if ctl.Ctx != nil {
-			if err := ctl.Ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: run stopped at permutation %d of %d: %w", lo, totalB, err)
-			}
-		}
-		hi := lo + every
-		if hi > totalB {
-			hi = totalB
-		}
-		span := hi - lo
-		var windowStart time.Time
-		if ctl.OnWindow != nil {
-			windowStart = time.Now()
-		}
-		if nprocs == 1 {
-			maxt.ProcessBatched(sub, gen, lo, hi, rs.partials[0], rs.scratches[0], batch)
-		} else {
-			var wg sync.WaitGroup
-			for r := 0; r < nprocs; r++ {
-				clo := lo + alignBoundary(span*int64(r)/int64(nprocs), span, batch)
-				chi := lo + alignBoundary(span*int64(r+1)/int64(nprocs), span, batch)
-				if clo == chi {
-					continue
-				}
-				wg.Add(1)
-				go func(r int, clo, chi int64) {
-					defer wg.Done()
-					maxt.ProcessBatched(sub, gen, clo, chi, rs.partials[r], rs.scratches[r], batch)
-				}(r, clo, chi)
-			}
-			wg.Wait()
-		}
-		// Merge, skipping frozen rows: their counts are pinned at their
-		// freeze boundary even while the kernel still computes them
-		// (between freezing and the next compaction).
-		for r := 0; r < nprocs; r++ {
-			pc := rs.partials[r]
-			if pc.B == 0 {
-				continue
-			}
-			if subRows == nil {
-				for i := range pc.Raw {
-					if bEff[i] == 0 {
-						counts.Raw[i] += pc.Raw[i]
-						counts.Adj[i] += pc.Adj[i]
-					}
-				}
-			} else {
-				for si, row := range subRows {
-					if bEff[row] == 0 {
-						counts.Raw[row] += pc.Raw[si]
-						counts.Adj[row] += pc.Adj[si]
-					}
-				}
-			}
-			counts.B += pc.B
-			clear(pc.Raw)
-			clear(pc.Adj)
-			pc.B = 0
-		}
-		if ctl.OnWindow != nil {
-			ctl.OnWindow(span, time.Since(windowStart))
-		}
-
-		tracker.Observe(counts.Raw, counts.Adj, counts.B)
-
-		if ctl.Save != nil {
-			snap := &Checkpoint{
-				Fingerprint: plan.Fingerprint,
-				TotalB:      plan.TotalB,
-				Complete:    plan.Complete,
-				Next:        hi,
-				Raw:         append([]int64(nil), counts.Raw...),
-				Adj:         append([]int64(nil), counts.Adj...),
-				Done:        counts.B,
-				BEff:        append([]int64(nil), bEff...),
-			}
-			if err := ctl.Save(snap); err != nil {
-				return nil, fmt.Errorf("core: checkpoint save at permutation %d: %w", hi, err)
-			}
-		}
-		if ctl.OnProgress != nil {
-			ctl.OnProgress(counts.B, totalB)
-		}
-		if ctl.OnSeq != nil {
-			ctl.OnSeq(prep.Valid-tracker.FrozenRows(), tracker.PermsSaved(totalB))
-		}
-
-		// Physical compaction: rebuild the kernel's prep once the
-		// droppable prefix is a worthwhile fraction of what it still
-		// computes.  The first compaction also sheds rows with no
-		// computable statistic (positions >= Valid), which contribute
-		// nothing to any count.
-		if pfx := tracker.FrozenPrefix(); pfx > removed && pfx < prep.Valid {
-			droppable := pfx - removed
-			computing := sub.Rows()
-			if droppable >= 32 && droppable*4 >= computing {
-				if err := compact(pfx); err != nil {
-					return nil, err
-				}
-				rs.ensure(sub, nprocs)
-			}
-		}
-	}
-	prof.MainKernel = time.Since(kernelStart)
-
-	start = time.Now()
-	tracker.Fill(counts.B)
-	final := maxt.FinalizeEffective(prep, counts, tracker.BEff())
-	prof.ComputePValues = time.Since(start)
-
-	return &Result{
-		Stat:      final.Stat,
-		RawP:      final.RawP,
-		AdjP:      final.AdjP,
-		Order:     final.Order,
-		B:         counts.B,
-		Complete:  false,
-		NProcs:    nprocs,
-		Profile:   prof,
-		KernelMax: prof.MainKernel,
-		Mode:      ModeSequential,
-		PlannedB:  totalB,
-		BEff:      append([]int64(nil), tracker.BEff()...),
-	}, nil
+	s.sub, s.rows, s.removed = sub, rows, pfx
+	return true, nil
 }
 
 // SeqAllSettled reports whether merged exceedance counts covering
@@ -259,18 +83,11 @@ func runSequential(p *Prepared, cfg config, plan Plan, ctl RunControl) (*Result,
 // EVERY valid row — the whole-job termination test a cluster coordinator
 // applies to its merge ledger before broadcasting a stop.  Per-row
 // freezing does not apply across shards (a shard never holds the global
-// prefix), so distribution uses this all-rows rule only.
-func SeqAllSettled(p *Prepared, opt Options, counts *maxt.Counts) (bool, error) {
-	return SeqAllSettledFrozen(p, opt, counts, nil)
-}
-
-// SeqAllSettledFrozen is SeqAllSettled for a merge that resumed from a
-// checkpoint with already-frozen rows: frozen[i] != 0 marks row i's
-// counts as pinned at that effective permutation count, and the row is
-// treated as settled by construction — it satisfied the per-row rule
-// before the handoff, and its merged counts no longer track counts.B.
-// A nil frozen slice is the plain all-rows rule.
-func SeqAllSettledFrozen(p *Prepared, opt Options, counts *maxt.Counts, frozen []int64) (bool, error) {
+// prefix), so distribution uses this all-rows rule only.  frozen (nil =
+// none) marks rows a resumed checkpoint froze: frozen[i] != 0 pins row
+// i's counts at that effective permutation count, and the row counts as
+// settled — it satisfied the per-row rule before the handoff.
+func SeqAllSettled(p *Prepared, opt Options, counts *maxt.Counts, frozen []int64) (bool, error) {
 	cfg, _, err := p.planFor(opt)
 	if err != nil {
 		return false, err
@@ -289,8 +106,7 @@ func SeqAllSettledFrozen(p *Prepared, opt Options, counts *maxt.Counts, frozen [
 	if err != nil {
 		return false, fmt.Errorf("core: %w", err)
 	}
-	for j := 0; j < prep.Valid; j++ {
-		r := prep.Order[j]
+	for _, r := range prep.Order[:prep.Valid] {
 		if frozen != nil && frozen[r] != 0 {
 			continue
 		}
@@ -299,62 +115,4 @@ func SeqAllSettledFrozen(p *Prepared, opt Options, counts *maxt.Counts, frozen [
 		}
 	}
 	return true, nil
-}
-
-// FinalizeCountsSequential is FinalizeCounts for a sequentially stopped
-// merge: counts cover counts.B <= TotalB sampled permutations (every row
-// uniformly — a fresh distributed run has no per-row freezing), and the
-// Result reports the planned total and the shared effective count.
-func FinalizeCountsSequential(p *Prepared, opt Options, counts *maxt.Counts) (*Result, error) {
-	return FinalizeCountsSequentialFrozen(p, opt, counts, nil)
-}
-
-// FinalizeCountsSequentialFrozen finalizes a sequential merge that
-// resumed from a checkpoint with frozen rows: frozen[i] != 0 pins row
-// i's effective permutation count at the value local per-row stopping
-// froze it at, while unfrozen valid rows take the uniform merged count.
-// The caller must have masked frozen rows out of every merge so that
-// counts.Raw/Adj for those rows still hold exactly the checkpoint's
-// values over [0, frozen[i]).  A nil frozen slice is the uniform rule.
-func FinalizeCountsSequentialFrozen(p *Prepared, opt Options, counts *maxt.Counts, frozen []int64) (*Result, error) {
-	cfg, plan, err := p.planFor(opt)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.mode != modeSequential {
-		return nil, fmt.Errorf("core: FinalizeCountsSequential requires mode \"sequential\"")
-	}
-	if counts.B < 1 || counts.B > plan.TotalB {
-		return nil, fmt.Errorf("core: merged permutation count %d outside (0, %d]", counts.B, plan.TotalB)
-	}
-	if len(counts.Raw) != plan.Rows || len(counts.Adj) != plan.Rows {
-		return nil, fmt.Errorf("core: merged count vectors have %d rows, want %d", len(counts.Raw), plan.Rows)
-	}
-	if frozen != nil && len(frozen) != plan.Rows {
-		return nil, fmt.Errorf("core: frozen vector has %d rows, want %d", len(frozen), plan.Rows)
-	}
-	start := time.Now()
-	prep := p.prep
-	bEff := make([]int64, prep.Rows())
-	for j := 0; j < prep.Valid; j++ {
-		r := prep.Order[j]
-		if frozen != nil && frozen[r] != 0 {
-			bEff[r] = frozen[r]
-			continue
-		}
-		bEff[r] = counts.B
-	}
-	final := maxt.FinalizeEffective(prep, counts, bEff)
-	return &Result{
-		Stat:     final.Stat,
-		RawP:     final.RawP,
-		AdjP:     final.AdjP,
-		Order:    final.Order,
-		B:        counts.B,
-		Complete: false,
-		Profile:  Profile{ComputePValues: time.Since(start)},
-		Mode:     ModeSequential,
-		PlannedB: plan.TotalB,
-		BEff:     bEff,
-	}, nil
 }

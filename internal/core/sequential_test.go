@@ -252,7 +252,7 @@ func TestSeqAllSettledAndFinalize(t *testing.T) {
 		counts.Raw[i] = 128
 		counts.Adj[i] = 128
 	}
-	settled, err := SeqAllSettled(p, opt, counts)
+	settled, err := SeqAllSettled(p, opt, counts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestSeqAllSettledAndFinalize(t *testing.T) {
 	if counts.B > opt.B {
 		counts.B = opt.B
 	}
-	settled, err = SeqAllSettled(p, opt, counts)
+	settled, err = SeqAllSettled(p, opt, counts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestSeqAllSettledAndFinalize(t *testing.T) {
 		t.Fatal("all-zero counts at large b not settled")
 	}
 
-	res, err := FinalizeCountsSequential(p, opt, counts)
+	res, err := Finalize(p, opt, counts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,15 +296,15 @@ func TestSeqAllSettledAndFinalize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SeqAllSettled(pExact, exactOpt, counts); err == nil {
+	if _, err := SeqAllSettled(pExact, exactOpt, counts, nil); err == nil {
 		t.Fatal("SeqAllSettled accepted exact mode")
 	}
-	if _, err := FinalizeCountsSequential(pExact, exactOpt, counts); err == nil {
-		t.Fatal("FinalizeCountsSequential accepted exact mode")
+	if _, err := Finalize(pExact, exactOpt, counts, make([]int64, rows)); err == nil {
+		t.Fatal("exact-mode Finalize accepted a frozen-row mask")
 	}
 	bad := maxt.NewCounts(rows)
 	bad.B = opt.B + 1
-	if _, err := FinalizeCountsSequential(p, opt, bad); err == nil {
+	if _, err := Finalize(p, opt, bad, nil); err == nil {
 		t.Fatal("merged B beyond the plan accepted")
 	}
 }

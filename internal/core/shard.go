@@ -2,12 +2,9 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"sprint/internal/maxt"
-	"sprint/internal/perm"
 )
 
 // This file is the distribution surface of the engine: the paper's Step
@@ -28,9 +25,9 @@ import (
 //   - Finalize is a pure function of (Prep, merged counts).
 //
 // Plan captures the shared identity every node must agree on; RunShard
-// computes one range; FinalizeCounts turns fully merged counts into the
-// Result.  RunPrepared is now the single-node composition of the same
-// pieces.
+// computes one range; Finalize turns merged counts into the Result.
+// RunPrepared is the single-node composition of the same pieces: all of
+// them run the kernel through one range executor (execute, run.go).
 
 // Plan is the resolved permutation plan of an analysis: everything a
 // set of nodes must agree on before splitting the range.  Two nodes
@@ -58,172 +55,6 @@ func PlanRun(p *Prepared, opt Options) (Plan, error) {
 	return plan, err
 }
 
-// planFor validates opt, checks prep compatibility and resolves the
-// permutation plan.
-func (p *Prepared) planFor(opt Options) (config, Plan, error) {
-	cfg, err := parseOptions(opt)
-	if err != nil {
-		return cfg, Plan{}, err
-	}
-	if err := p.compatible(cfg); err != nil {
-		return cfg, Plan{}, err
-	}
-	useComplete, totalB, err := planPermutations(cfg, p.design)
-	if err != nil {
-		return cfg, Plan{}, err
-	}
-	if cfg.mode == modeSequential && useComplete {
-		return cfg, Plan{}, fmt.Errorf("core: mode \"sequential\" requires sampled permutations, but the plan resolved to the complete enumeration (%d labellings, which is exact by definition); run exact mode instead", totalB)
-	}
-	door := useComplete && cfg.doorOrder(p.design)
-	return cfg, Plan{
-		TotalB:      totalB,
-		Complete:    useComplete,
-		Door:        door,
-		Rows:        p.prep.Rows(),
-		Fingerprint: fingerprint(cfg, p.clean, p.labels, door),
-	}, nil
-}
-
-// checkResume validates the analysis-identity half of a resume checkpoint
-// against the plan, naming the field that drifted so mismatches are
-// debuggable; range/progress semantics stay with the caller.
-func (pl Plan) checkResume(r *Checkpoint, rows int) error {
-	switch {
-	case r.Fingerprint != pl.Fingerprint:
-		return ckptMismatch("fingerprint", fmt.Sprintf("%016x", r.Fingerprint), fmt.Sprintf("%016x", pl.Fingerprint))
-	case r.TotalB != pl.TotalB:
-		return ckptMismatch("TotalB", r.TotalB, pl.TotalB)
-	case r.Complete != pl.Complete:
-		return ckptMismatch("Complete", r.Complete, pl.Complete)
-	case len(r.Raw) != rows || len(r.Adj) != rows:
-		return ckptMismatch("rows", fmt.Sprintf("%d raw / %d adj counts", len(r.Raw), len(r.Adj)), rows)
-	}
-	return nil
-}
-
-// generatorFor builds the permutation generator serving indices
-// [lo, hi) of the plan's sequence.  Complete and fixed-seed generators
-// index the whole sequence in O(1) per draw; the stored generator
-// materialises exactly the requested chunk (paying one pass of discards
-// over [1, lo), the paper's "cycle the stream forward" cost).
-func (p *Prepared) generatorFor(cfg config, plan Plan, lo, hi int64) (perm.Generator, error) {
-	switch {
-	case plan.Complete:
-		return cfg.completeGen(p.design)
-	case cfg.fixedSeed:
-		return perm.NewRandom(p.design, cfg.seed, plan.TotalB), nil
-	default:
-		return perm.NewStored(p.design, cfg.seed, plan.TotalB, lo, hi), nil
-	}
-}
-
-// processRange drives the windowed multi-rank kernel loop over
-// permutation indices [first, limit), merging exceedance counts into
-// counts.  It returns the first unprocessed index: limit on success, the
-// boundary of the last completed window when ctl.Ctx cancels — counts
-// then hold a valid partial covering everything below that boundary,
-// which is what lets a draining worker hand its progress back instead
-// of discarding it.
-func processRange(p *Prepared, cfg config, plan Plan, gen perm.Generator, counts *maxt.Counts, first, limit int64, ctl RunControl) (int64, error) {
-	prep := p.prep
-	nprocs := ctl.NProcs
-	if nprocs < 1 {
-		nprocs = runtime.GOMAXPROCS(0)
-	}
-	batch := cfg.effectiveBatch()
-	every := ctl.Every
-	if every < 1 {
-		every = limit - first
-		if every < 1 {
-			every = 1
-		}
-	} else {
-		// Align the window (and therefore every checkpoint boundary) to a
-		// whole number of kernel batches, so no window ends on a ragged
-		// tail batch.  Checkpoint semantics are unchanged: a checkpoint
-		// taken at ANY boundary — including one saved by an earlier,
-		// unaligned engine — remains a valid resume point, because counts
-		// are a pure prefix sum over the permutation sequence.
-		eb := int64(batch)
-		every = (every + eb - 1) / eb * eb
-	}
-
-	rs := ctl.Scratch
-	if rs == nil {
-		rs = &RunScratch{}
-	}
-	rs.ensure(prep, nprocs)
-	scratches, partials := rs.scratches, rs.partials
-
-	for lo := first; lo < limit; lo += every {
-		if ctl.Ctx != nil {
-			if err := ctl.Ctx.Err(); err != nil {
-				return lo, fmt.Errorf("core: run stopped at permutation %d of %d: %w", lo, plan.TotalB, err)
-			}
-		}
-		hi := lo + every
-		if hi > limit {
-			hi = limit
-		}
-		span := hi - lo
-		var windowStart time.Time
-		if ctl.OnWindow != nil {
-			windowStart = time.Now()
-		}
-		if nprocs == 1 {
-			maxt.ProcessBatched(prep, gen, lo, hi, counts, scratches[0], batch)
-		} else {
-			var wg sync.WaitGroup
-			for r := 0; r < nprocs; r++ {
-				// Rank boundaries inside the window align to batch
-				// multiples (relative to the window start), so only the
-				// window's last rank can see a ragged tail batch.
-				clo := lo + alignBoundary(span*int64(r)/int64(nprocs), span, batch)
-				chi := lo + alignBoundary(span*int64(r+1)/int64(nprocs), span, batch)
-				if clo == chi {
-					continue
-				}
-				wg.Add(1)
-				go func(r int, clo, chi int64) {
-					defer wg.Done()
-					maxt.ProcessBatched(prep, gen, clo, chi, partials[r], scratches[r], batch)
-				}(r, clo, chi)
-			}
-			wg.Wait()
-			for r := 0; r < nprocs; r++ {
-				if partials[r].B > 0 {
-					counts.Merge(partials[r])
-					clear(partials[r].Raw)
-					clear(partials[r].Adj)
-					partials[r].B = 0
-				}
-			}
-		}
-		if ctl.OnWindow != nil {
-			ctl.OnWindow(span, time.Since(windowStart))
-		}
-		if ctl.Save != nil {
-			snap := &Checkpoint{
-				Fingerprint: plan.Fingerprint,
-				TotalB:      plan.TotalB,
-				Complete:    plan.Complete,
-				Next:        hi,
-				Raw:         append([]int64(nil), counts.Raw...),
-				Adj:         append([]int64(nil), counts.Adj...),
-				Done:        counts.B,
-			}
-			if err := ctl.Save(snap); err != nil {
-				return hi, fmt.Errorf("core: checkpoint save at permutation %d: %w", hi, err)
-			}
-		}
-		if ctl.OnProgress != nil {
-			ctl.OnProgress(counts.B, plan.TotalB)
-		}
-	}
-	return limit, nil
-}
-
 // ShardCounts is the partial result of one shard: exceedance counts
 // over the contiguous global index range [Lo, Next) of the plan's
 // permutation sequence.  Next < Hi of the requested range marks a
@@ -244,8 +75,8 @@ type ShardCounts struct {
 //
 // ctl.Resume may carry a shard checkpoint previously saved through
 // ctl.Save during a run of the SAME range: it is accepted when the
-// fingerprint, plan and range agree (Next-Done == lo places its counts
-// at this shard's origin) and rejected with ErrCheckpointMismatch
+// fingerprint, plan and range agree (its counts cover [lo, Next) with
+// Next inside the shard) and rejected with ErrCheckpointMismatch
 // otherwise.  On context cancellation RunShard returns the error AND a
 // ShardCounts whose Next marks the last completed window boundary —
 // counts below it are valid and mergeable, so a draining worker ships
@@ -265,63 +96,72 @@ func RunShard(p *Prepared, opt Options, lo, hi int64, ctl RunControl) (*ShardCou
 	if lo < 0 || hi > plan.TotalB || lo >= hi {
 		return nil, fmt.Errorf("core: shard range [%d, %d) outside plan [0, %d)", lo, hi, plan.TotalB)
 	}
-	counts := maxt.NewCounts(plan.Rows)
-	start := lo
-	if ctl.Resume != nil {
-		r := ctl.Resume
-		if err := plan.checkResume(r, plan.Rows); err != nil {
-			return nil, err
-		}
-		// A shard checkpoint's counts cover [Next-Done, Next); they only
-		// belong to this shard when that range starts at lo and ends
-		// inside [lo, hi].
-		if r.Next-r.Done != lo || r.Next < lo || r.Next > hi {
-			return nil, ckptMismatch("range", fmt.Sprintf("counts over [%d, %d)", r.Next-r.Done, r.Next), fmt.Sprintf("a prefix of shard [%d, %d)", lo, hi))
-		}
-		copy(counts.Raw, r.Raw)
-		copy(counts.Adj, r.Adj)
-		counts.B = r.Done
-		start = r.Next
-	}
-	sc := &ShardCounts{Plan: plan, Lo: lo, Next: start, Counts: counts}
-	if start == hi {
-		return sc, nil
-	}
-	gen, err := p.generatorFor(cfg, plan, start, hi)
-	if err != nil {
+	counts, next, err := p.execute(cfg, plan, lo, hi, ctl, nil)
+	if counts == nil {
 		return nil, err
 	}
-	next, runErr := processRange(p, cfg, plan, gen, counts, start, hi, ctl)
-	sc.Next = next
-	return sc, runErr
+	return &ShardCounts{Plan: plan, Lo: lo, Next: next, Counts: counts}, err
 }
 
-// FinalizeCounts converts fully merged exceedance counts into the final
-// Result: the deterministic Step 5 a coordinator applies after merging
-// every shard.  counts must cover the whole plan (counts.B == TotalB);
-// the Result is then bitwise identical to a single-node run, no matter
-// how the range was partitioned or in which order shards merged.
-func FinalizeCounts(p *Prepared, opt Options, counts *maxt.Counts) (*Result, error) {
-	_, plan, err := p.planFor(opt)
+// Finalize converts merged exceedance counts into the final Result: the
+// deterministic Step 5 every path applies once its counts are merged.
+// In exact mode counts must cover the whole plan (counts.B == TotalB)
+// and frozen must be nil; the Result is then bitwise identical to a
+// single-node run, no matter how the range was partitioned or in which
+// order shards merged.  In sequential mode counts cover counts.B <=
+// TotalB sampled permutations, and frozen (nil = none) pins each row
+// with frozen[i] != 0 at that effective permutation count — the caller
+// must have masked those rows out of every merge past it (see
+// maxt.Counts.MergeMasked) — while every other valid row takes counts.B.
+func Finalize(p *Prepared, opt Options, counts *maxt.Counts, frozen []int64) (*Result, error) {
+	cfg, plan, err := p.planFor(opt)
 	if err != nil {
 		return nil, err
 	}
-	if counts.B != plan.TotalB {
-		return nil, fmt.Errorf("core: merged permutation count %d, want %d", counts.B, plan.TotalB)
-	}
-	if len(counts.Raw) != plan.Rows || len(counts.Adj) != plan.Rows {
-		return nil, fmt.Errorf("core: merged count vectors have %d rows, want %d", len(counts.Raw), plan.Rows)
-	}
 	start := time.Now()
-	final := maxt.Finalize(p.prep, counts)
+	res, err := p.finalize(cfg, plan, counts, frozen)
+	if err != nil {
+		return nil, err
+	}
+	res.Profile.ComputePValues = time.Since(start)
+	return res, nil
+}
+
+// finalize is Finalize over a resolved plan.
+func (p *Prepared) finalize(cfg config, plan Plan, counts *maxt.Counts, frozen []int64) (*Result, error) {
+	if len(counts.Raw) != plan.Rows || len(counts.Adj) != plan.Rows {
+		return nil, fmt.Errorf("core: merged count vectors have %d/%d rows, want %d", len(counts.Raw), len(counts.Adj), plan.Rows)
+	}
+	if cfg.mode != modeSequential {
+		if frozen != nil {
+			return nil, fmt.Errorf("core: frozen rows require mode \"sequential\"")
+		}
+		if counts.B != plan.TotalB {
+			return nil, fmt.Errorf("core: merged permutation count %d, want %d", counts.B, plan.TotalB)
+		}
+		final := maxt.Finalize(p.prep, counts)
+		return &Result{
+			Stat: final.Stat, RawP: final.RawP, AdjP: final.AdjP, Order: final.Order,
+			B: final.B, Complete: plan.Complete,
+		}, nil
+	}
+	if counts.B < 1 || counts.B > plan.TotalB {
+		return nil, fmt.Errorf("core: merged permutation count %d outside (0, %d]", counts.B, plan.TotalB)
+	}
+	if frozen != nil && len(frozen) != plan.Rows {
+		return nil, fmt.Errorf("core: frozen vector has %d rows, want %d", len(frozen), plan.Rows)
+	}
+	bEff := make([]int64, plan.Rows)
+	for _, r := range p.prep.Order[:p.prep.Valid] {
+		bEff[r] = counts.B
+		if frozen != nil && frozen[r] != 0 {
+			bEff[r] = frozen[r]
+		}
+	}
+	final := maxt.FinalizeEffective(p.prep, counts, bEff)
 	return &Result{
-		Stat:     final.Stat,
-		RawP:     final.RawP,
-		AdjP:     final.AdjP,
-		Order:    final.Order,
-		B:        final.B,
-		Complete: plan.Complete,
-		Profile:  Profile{ComputePValues: time.Since(start)},
+		Stat: final.Stat, RawP: final.RawP, AdjP: final.AdjP, Order: final.Order,
+		B: counts.B, Mode: ModeSequential, PlannedB: plan.TotalB, BEff: bEff,
 	}, nil
 }
 

@@ -110,7 +110,7 @@ func TestShardMergeAssociativity(t *testing.T) {
 			for _, i := range order {
 				merged.Merge(parts[i].Counts)
 			}
-			got, err := FinalizeCounts(p, tc.opt, merged)
+			got, err := Finalize(p, tc.opt, merged, nil)
 			if err != nil {
 				t.Fatalf("%s: finalize: %v", tc.name, err)
 			}
@@ -198,5 +198,5 @@ func TestRunShardBounds(t *testing.T) {
 
 // finalizeMerged turns fully merged shard counts into the Result.
 func finalizeMerged(p *Prepared, opt Options, counts *maxt.Counts) (*Result, error) {
-	return FinalizeCounts(p, opt, counts)
+	return Finalize(p, opt, counts, nil)
 }

@@ -30,15 +30,6 @@ type Config struct {
 	// DefaultEvery is the checkpoint/progress window for jobs that do not
 	// choose one, in permutations.  Defaults to 1000.
 	DefaultEvery int64
-	// DefaultMode, when non-empty, is the engine mode applied to
-	// submissions that leave Opt.Mode blank: "exact" (the zero-value
-	// default) or "sequential".  An explicit Spec.Opt.Mode always wins.
-	DefaultMode string
-	// DefaultSeqAlpha and DefaultSeqTolerance seed the sequential
-	// stopping parameters of submissions that leave them zero; zero here
-	// keeps the engine defaults (0.05 and 0.02).
-	DefaultSeqAlpha     float64
-	DefaultSeqTolerance float64
 	// CacheSize bounds the result cache (entries).  Defaults to 128.
 	// Negative disables caching.
 	CacheSize int
@@ -121,26 +112,6 @@ type Config struct {
 	// with the job ID and its progress — an observation hook for
 	// operators and tests.
 	OnCheckpoint func(id string, done, total int64)
-}
-
-// applyModeDefaults fills the server-configured engine mode and stopping
-// parameters into a submission that left them blank.  An explicit
-// Opt.Mode always wins, and the sequential knobs are only seeded on jobs
-// that actually resolve to sequential mode — exact submissions stay
-// untouched so their content keys cannot drift.
-func (c Config) applyModeDefaults(opt core.Options) core.Options {
-	if opt.Mode == "" && c.DefaultMode != "" {
-		opt.Mode = c.DefaultMode
-	}
-	if opt.Mode == core.ModeSequential {
-		if opt.SeqAlpha == 0 {
-			opt.SeqAlpha = c.DefaultSeqAlpha
-		}
-		if opt.SeqTolerance == 0 {
-			opt.SeqTolerance = c.DefaultSeqTolerance
-		}
-	}
-	return opt
 }
 
 func (c Config) withDefaults() Config {
@@ -668,7 +639,6 @@ func (m *Manager) shed(reason string, sentinel error, retryAfter time.Duration, 
 // carrying the Retry-After guidance; cache hits are exempt from
 // admission control — they occupy no worker.
 func (m *Manager) Submit(spec Spec) (Status, error) {
-	spec.Opt = m.cfg.applyModeDefaults(spec.Opt)
 	canon, err := core.CanonicalOptions(spec.Opt)
 	if err != nil {
 		return Status{}, err

@@ -307,6 +307,25 @@ func (c *Counts) Merge(o *Counts) {
 	c.B += o.B
 }
 
+// MergeMasked adds o into c row by row, where o's row i is c's row
+// rows[i] (rows == nil: the identity), skipping every row r with
+// frozen[r] != 0 (frozen == nil: none) so that frozen rows' counts stay
+// pinned.  B always advances: it is the shared denominator of the rows
+// still accumulating.
+func (c *Counts) MergeMasked(o *Counts, rows []int, frozen []int64) {
+	for i := range o.Raw {
+		r := i
+		if rows != nil {
+			r = rows[i]
+		}
+		if frozen == nil || frozen[r] == 0 {
+			c.Raw[r] += o.Raw[i]
+			c.Adj[r] += o.Adj[i]
+		}
+	}
+	c.B += o.B
+}
+
 // Reset zeroes c for n rows, reusing its buffers when they are large
 // enough — the counterpart of ScratchFrom for per-worker count reuse.
 func (c *Counts) Reset(n int) {

@@ -45,7 +45,6 @@ import (
 	"sprint/internal/jobs"
 	"sprint/internal/matrix"
 	"sprint/internal/microarray"
-	"sprint/internal/pcor"
 )
 
 // Options configures MaxT and PMaxT, mirroring the R signature
@@ -200,16 +199,3 @@ func Run(x [][]float64, classlabel []int, opt Options, ctl RunControl) (*Result,
 
 // RunControl carries the service hooks of a supervised Run.
 type RunControl = core.RunControl
-
-// Pcor computes the rows×rows Pearson correlation matrix of x on nprocs
-// parallel ranks: SPRINT's original prototype function (Hill et al. 2008),
-// reproduced here because the paper's framework hosts a library of such
-// functions, not just pmaxT.  Matrix[i][j] is the correlation of rows i
-// and j; zero-variance rows correlate as NaN.
-func Pcor(x [][]float64, nprocs int) ([][]float64, error) {
-	res, err := pcor.Pcor(x, nprocs)
-	if err != nil {
-		return nil, err
-	}
-	return res.Matrix, nil
-}

@@ -101,21 +101,6 @@ func ExampleMaxT() {
 	// raw p of row 0: 0.10
 }
 
-func TestPcorPublicAPI(t *testing.T) {
-	x := [][]float64{
-		{1, 2, 3, 4},
-		{2, 4, 6, 8},
-		{4, 3, 2, 1},
-	}
-	m, err := sprint.Pcor(x, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(m[0][1]-1) > 1e-12 || math.Abs(m[0][2]+1) > 1e-12 {
-		t.Errorf("correlations = %v", m)
-	}
-}
-
 func TestProfileExposed(t *testing.T) {
 	x := [][]float64{
 		{9.1, 8.7, 9.3, 1.2, 1.0, 1.4},
