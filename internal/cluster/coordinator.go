@@ -688,11 +688,9 @@ func (c *Coordinator) RunJob(ctx context.Context, req jobs.DistRequest) (*core.R
 	if nprocs == 0 {
 		nprocs = 1
 	}
-	finOpt := req.Opt
-	if sequential {
-		finOpt = seqOpt
-	}
-	res, err := core.Finalize(req.Prepared, finOpt, merged, frozen)
+	// seqOpt holds the job's own options; only req.Opt was rewritten to
+	// exact for the shards.
+	res, err := core.Finalize(req.Prepared, seqOpt, merged, frozen)
 	if err != nil {
 		return nil, err
 	}
