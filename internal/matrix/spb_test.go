@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -276,5 +277,103 @@ func TestReadSPBHeader(t *testing.T) {
 	}
 	if _, _, err := ReadSPBHeader(bytes.NewReader([]byte("not an spb stream at all..........."))); err == nil {
 		t.Error("junk header accepted")
+	}
+}
+
+// withDigest returns a copy of b whose trailing digest is recomputed, so
+// that a mutated stream reaches the section parsing behind the digest
+// check instead of stopping at it.
+func withDigest(b []byte) []byte {
+	b = append([]byte(nil), b...)
+	if len(b) >= 8 {
+		binary.LittleEndian.PutUint64(b[len(b)-8:], Digest64(b[:len(b)-8]))
+	}
+	return b
+}
+
+// FuzzDecodeBytes attacks the spb decoder, which reads a header from
+// untrusted bytes and aliases the payload through unsafe.Slice.  Every
+// input is decoded twice, from an 8-byte-aligned copy (the zero-copy path)
+// and from a misaligned one (the element-wise path), and again with its
+// digest repaired.  A decode must never panic; the two paths must agree;
+// and an accepted stream must describe a consistent matrix that survives
+// re-encoding unchanged.
+func FuzzDecodeBytes(f *testing.F) {
+	m := spbTestMatrix(7, 6)
+	labels := []int{0, 0, -1, 1, 1, 2}
+	names := []string{"a", "", "gene", "x", "yy", "z", "w"}
+	var good []byte
+	for _, layout := range []Layout{RowMajor, ColMajor} {
+		for _, meta := range []struct {
+			labels []int
+			names  []string
+		}{{nil, nil}, {labels, nil}, {labels, names}} {
+			enc, err := EncodeBytes(m, meta.labels, meta.names, layout)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(enc)
+			good = enc
+		}
+	}
+	// The corruption and header-overflow cases of the tests above.
+	for _, mutate := range []func(b []byte) []byte{
+		func(b []byte) []byte { b[spbHeaderSize+11] ^= 0x40; return b },
+		func(b []byte) []byte { b[0] = 'X'; return b },
+		func(b []byte) []byte { b[4] = 99; return b },
+		func(b []byte) []byte { b[8] |= 0x80; return b },
+		func(b []byte) []byte { b[12] = 1; return b },
+		func(b []byte) []byte { return b[:len(b)-9] },
+		func(b []byte) []byte { b[22] = 0xff; return b },
+		func(b []byte) []byte { return append(b, 0) },
+		func(b []byte) []byte { binary.LittleEndian.PutUint64(b[16:24], 1<<31-1); return withDigest(b) },
+		func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[16:24], 1<<20)
+			binary.LittleEndian.PutUint64(b[24:32], 1<<20)
+			return withDigest(b)
+		},
+	} {
+		f.Add(mutate(append([]byte(nil), good...)))
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecode(t, data)
+		checkDecode(t, withDigest(data))
+	})
+}
+
+// checkDecode runs the FuzzDecodeBytes properties on one input.
+func checkDecode(t *testing.T, data []byte) {
+	aligned := append(make([]byte, 0, len(data)), data...)
+	shifted := append(make([]byte, 1, len(data)+1), data...)[1:]
+	fa, errA := DecodeBytes(aligned)
+	fs, errS := DecodeBytes(shifted)
+	if (errA == nil) != (errS == nil) {
+		t.Fatalf("aligned and misaligned decodes disagree: %v vs %v", errA, errS)
+	}
+	if errA != nil {
+		return
+	}
+	if fs.ZeroCopy {
+		t.Fatal("a misaligned buffer was aliased")
+	}
+	if len(fa.M.Data) != fa.M.Rows*fa.M.Cols || fa.M.Rows < 1 || fa.M.Cols < 1 {
+		t.Fatalf("accepted %dx%d matrix with %d cells", fa.M.Rows, fa.M.Cols, len(fa.M.Data))
+	}
+	if fa.Labels != nil && len(fa.Labels) != fa.M.Cols || fa.Names != nil && len(fa.Names) != fa.M.Rows {
+		t.Fatalf("accepted %d labels and %d names for a %dx%d matrix", len(fa.Labels), len(fa.Names), fa.M.Rows, fa.M.Cols)
+	}
+	sameMatrixBits(t, fs.M, fa.M)
+	again, err := EncodeBytes(fa.M, fa.Labels, fa.Names, RowMajor)
+	if err != nil {
+		t.Fatalf("accepted stream does not re-encode: %v", err)
+	}
+	fr, err := DecodeBytes(again)
+	if err != nil {
+		t.Fatalf("re-encoded stream rejected: %v", err)
+	}
+	sameMatrixBits(t, fr.M, fa.M)
+	if !slices.Equal(fr.Labels, fa.Labels) || !slices.Equal(fr.Names, fa.Names) {
+		t.Fatalf("metadata changed on re-encoding: labels %v → %v, names %q → %q", fa.Labels, fr.Labels, fa.Names, fr.Names)
 	}
 }

@@ -149,3 +149,40 @@ func TestDeltaLoopZeroAllocs(t *testing.T) {
 		t.Fatalf("delta loop allocates %v per run in steady state, want 0", allocs)
 	}
 }
+
+// TestBatchedLoopZeroAllocsAcrossPreps is the guard for the batched,
+// non-delta Welch path a jobs worker runs: one Scratch carried through
+// ScratchFrom between two preps of different row counts (and so different
+// positional count buffers) must let every steady-state ProcessBatched
+// call, including the switch between preps, run without allocating.
+func TestBatchedLoopZeroAllocsAcrossPreps(t *testing.T) {
+	d, err := stat.NewDesign(stat.Welch, []int{0, 0, 0, 0, 0, 1, 1, 1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var preps []*Prep
+	for _, rows := range []int{40, 90} {
+		p, err := NewPrepMatrix(deltaMatrix(rows, d.N, false, int64(rows)), d, Abs, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		preps = append(preps, p)
+	}
+	gen := perm.NewRandom(d, 4, 1<<20)
+	const batch = 32
+	counts := []*Counts{NewCounts(preps[0].Rows()), NewCounts(preps[1].Rows())}
+	var s *Scratch
+	for i, p := range preps { // warm: the larger prep grows every buffer
+		s = p.ScratchFrom(s)
+		ProcessBatched(p, gen, 0, 2*batch, counts[i], s, batch)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		for i, p := range preps {
+			s = p.ScratchFrom(s)
+			ProcessBatched(p, gen, 2*batch, 4*batch, counts[i], s, batch)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("batched loop allocates %v per run across preps in steady state, want 0", allocs)
+	}
+}

@@ -191,6 +191,11 @@ func comparePValuesCollar(t *testing.T, label string, pNew, pRef *Prep, gen perm
 		eps[i] = 4e-9 * math.Max(math.Abs(obs[i]), 1)
 	}
 	order, valid := pNew.Order, pNew.Valid
+	// pRef.M holds caller row i at its significance position.
+	pos := make([]int, n)
+	for j, r := range pRef.Order {
+		pos[r] = j
+	}
 	lowRaw := make([]int64, n)
 	highRaw := make([]int64, n)
 	lowAdj := make([]int64, n)
@@ -198,7 +203,7 @@ func comparePValuesCollar(t *testing.T, label string, pNew, pRef *Prep, gen perm
 	for b := int64(0); b < B; b++ {
 		gen.Label(b, lab)
 		for i := 0; i < n; i++ {
-			v := pRef.StatFn(pRef.M.Row(i), lab)
+			v := pRef.StatFn(pRef.M.Row(pos[i]), lab)
 			if math.IsNaN(v) {
 				z[i] = math.Inf(-1)
 			} else {

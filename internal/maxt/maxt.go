@@ -21,7 +21,7 @@ package maxt
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"sprint/internal/matrix"
 	"sprint/internal/perm"
@@ -77,17 +77,26 @@ func (s Side) transform(v float64) float64 {
 // rank-transformed) flat data matrix, the design, the batched statistics
 // kernel, the observed statistics and the induced row order.  A Prep is
 // safe for concurrent use; per-goroutine scratch lives in Scratch values.
+//
+// The matrix is stored in SIGNIFICANCE ORDER: M's row j is the caller's
+// row Order[j], and the kernel is built over that layout, so its output
+// position j is (bit for bit) the statistic of row Order[j].  The
+// step-down count is then one contiguous reverse pass over positions.
+// Everything else a Prep exposes — Stat, Obs, Order and the Counts that
+// Process accumulates — is in the caller's row order.
 type Prep struct {
 	Design *stat.Design
 	Side   Side
-	M      matrix.Matrix                          // rows × columns, transformed flat copy
-	Kernel stat.Kernel                            // batched engine; nil on reference preps
+	M      matrix.Matrix                          // transformed flat copy; row j is caller row Order[j]
+	Kernel stat.Kernel                            // batched engine over M; nil on reference preps
 	StatFn func(row []float64, lab []int) float64 // legacy per-row evaluator
 
 	Stat  []float64 // untransformed observed statistic per row
 	Obs   []float64 // side-transformed observed statistic per row
 	Order []int     // row indices by decreasing Obs; NaN rows at the end
 	Valid int       // number of rows with a computable observed statistic
+
+	sobs []float64 // sobs[j] = Obs[Order[j]] for j < Valid: M's thresholds
 
 	// ref selects the retained pre-flat evaluation path: Process calls
 	// StatFn row by row instead of the batched kernel.  Kept so the flat
@@ -180,7 +189,6 @@ func newPrep(m matrix.Matrix, d *stat.Design, side Side, nonpara bool, ref bool)
 		if err != nil {
 			return nil, err
 		}
-		p.Kernel = k
 		k.Stats(d.Labels, p.Stat, nil)
 	}
 	for i, t := range p.Stat {
@@ -190,91 +198,143 @@ func newPrep(m matrix.Matrix, d *stat.Design, side Side, nonpara bool, ref bool)
 			p.Obs[i] = side.transform(t)
 		}
 	}
-	p.Order = make([]int, n)
-	for i := range p.Order {
-		p.Order[i] = i
-	}
-	// Decreasing transformed statistic; NaN rows sink to the end; ties
-	// break on row index so the order — and therefore the parallel
-	// reduction — is deterministic.
-	sort.SliceStable(p.Order, func(a, b int) bool {
-		ra, rb := p.Order[a], p.Order[b]
-		va, vb := p.Obs[ra], p.Obs[rb]
-		na, nb := math.IsNaN(va), math.IsNaN(vb)
-		switch {
-		case na && nb:
-			return ra < rb
-		case na:
-			return false
-		case nb:
-			return true
-		case va != vb:
-			return va > vb
-		default:
-			return ra < rb
-		}
-	})
-	p.Valid = 0
-	for _, r := range p.Order {
-		if math.IsNaN(p.Obs[r]) {
-			break
-		}
-		p.Valid++
+	p.Order, p.Valid = stepDownOrder(p.Obs)
+	// Move the rows into significance order and rebuild the kernel over
+	// that layout.  Every statistic depends on its own row only, so the
+	// rebuilt kernel computes exactly the observed values above.
+	permuteRows(m, p.Order)
+	if err := p.layout(); err != nil {
+		return nil, err
 	}
 	return p, nil
+}
+
+// stepDownOrder orders rows by decreasing side-transformed statistic obs
+// and counts the rows with a computable one.  NaN rows sink to the end
+// and ties break on row index, so the order is total: it — and therefore
+// the parallel reduction — is deterministic.
+func stepDownOrder(obs []float64) (order []int, valid int) {
+	order = make([]int, len(obs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(ra, rb int) int {
+		va, vb := obs[ra], obs[rb]
+		na, nb := math.IsNaN(va), math.IsNaN(vb)
+		switch {
+		case na != nb:
+			if na {
+				return 1
+			}
+			return -1
+		case !na && va != vb:
+			if va > vb {
+				return -1
+			}
+			return 1
+		default:
+			return ra - rb
+		}
+	})
+	for _, r := range order {
+		if math.IsNaN(obs[r]) {
+			break
+		}
+		valid++
+	}
+	return order, valid
+}
+
+// layout derives the position-ordered state from p.M, p.Order and p.Obs:
+// the kernel over M (unless p is a reference prep) and the thresholds
+// sobs.
+func (p *Prep) layout() error {
+	if !p.ref {
+		k, err := stat.NewKernel(p.Design, p.M)
+		if err != nil {
+			return err
+		}
+		p.Kernel = k
+	}
+	p.sobs = make([]float64, p.Valid)
+	for j, r := range p.Order[:p.Valid] {
+		p.sobs[j] = p.Obs[r]
+	}
+	return nil
+}
+
+// permuteRows rearranges m in place so that new row j holds old row
+// order[j].  It follows each cycle of the permutation with one row of
+// extra storage, so the prep never holds two copies of the matrix.
+func permuteRows(m matrix.Matrix, order []int) {
+	done := make([]bool, len(order))
+	tmp := make([]float64, m.Cols)
+	for start := range order {
+		if done[start] || order[start] == start {
+			continue
+		}
+		copy(tmp, m.Row(start))
+		j := start
+		for {
+			done[j] = true
+			k := order[j]
+			if k == start {
+				copy(m.Row(j), tmp)
+				break
+			}
+			copy(m.Row(j), m.Row(k))
+			j = k
+		}
+	}
 }
 
 // Rows returns the number of rows (genes) in the prepared matrix.
 func (p *Prep) Rows() int { return p.M.Rows }
 
-// Subset builds a prep over a subset of p's rows, given as matrix row
-// indices in STEP-DOWN ORDER (a contiguous run of p.Order positions whose
-// observed statistics are computable).  It exists for the sequential
-// engine: once every row above a position has frozen, the remaining rows'
-// successive maxima depend only on themselves, so the kernel may compute
-// this smaller prep instead — ProcessBatched over the subset accumulates
-// bit-for-bit the counts the full prep would have produced for the same
-// rows, because the rows are byte copies of p's already-transformed
-// matrix, the observed statistics are copied rather than recomputed, and
-// the induced order is the identity by construction.
+// Subset builds a prep over a contiguous run of p's significance order:
+// rows must be exactly Order[a:b] for some a < b <= Valid.  It exists for
+// the sequential engine: once every row above a position has frozen, the
+// remaining rows' successive maxima depend only on themselves, so the
+// kernel may compute this smaller prep instead — ProcessBatched over the
+// subset accumulates bit-for-bit the counts the full prep would have
+// produced for the same rows.  The subset's matrix is a re-slice of p.M
+// (rows [a, b) are already in order, so nothing is copied), the observed
+// statistics are copied rather than recomputed, and the induced order is
+// the identity by construction.
 func (p *Prep) Subset(rows []int) (*Prep, error) {
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("maxt: empty row subset")
 	}
-	m := matrix.New(len(rows), p.M.Cols)
+	a := 0
+	for a < p.Valid && p.Order[a] != rows[0] {
+		a++
+	}
+	b := a + len(rows)
+	if b > p.Valid || !slices.Equal(p.Order[a:b], rows) {
+		return nil, fmt.Errorf("maxt: subset rows are not a contiguous run of the %d computable positions of the significance order", p.Valid)
+	}
+	cols := p.M.Cols
 	sub := &Prep{
 		Design: p.Design,
 		Side:   p.Side,
-		M:      m,
+		M:      matrix.Matrix{Data: p.M.Data[a*cols : b*cols : b*cols], Rows: b - a, Cols: cols},
 		StatFn: p.StatFn,
-		Stat:   make([]float64, len(rows)),
-		Obs:    make([]float64, len(rows)),
-		Order:  make([]int, len(rows)),
-		Valid:  len(rows),
+		Stat:   make([]float64, b-a),
+		Obs:    append([]float64(nil), p.sobs[a:b]...),
+		Order:  make([]int, b-a),
+		Valid:  b - a,
 		ref:    p.ref,
 	}
 	for i, r := range rows {
-		if r < 0 || r >= p.M.Rows {
-			return nil, fmt.Errorf("maxt: subset row %d outside matrix of %d rows", r, p.M.Rows)
-		}
-		if math.IsNaN(p.Obs[r]) {
-			return nil, fmt.Errorf("maxt: subset row %d has no computable observed statistic", r)
-		}
-		copy(m.Row(i), p.M.Row(r))
 		sub.Stat[i] = p.Stat[r]
-		sub.Obs[i] = p.Obs[r]
 		sub.Order[i] = i
 	}
-	if !p.ref {
-		// The matrix rows are already rank-transformed where the test
-		// demands it, exactly as the full prep's were when its kernel was
-		// built, so the kernel sees identical per-row data and produces
-		// identical statistics.
-		k, err := stat.NewKernel(p.Design, m)
-		if err != nil {
-			return nil, err
-		}
-		sub.Kernel = k
+	// The matrix rows are already rank-transformed where the test demands
+	// it, exactly as the full prep's were when its kernel was built, so
+	// the kernel sees identical per-row data and produces identical
+	// statistics.
+	if err := sub.layout(); err != nil {
+		return nil, err
 	}
 	return sub, nil
 }
@@ -351,6 +411,11 @@ type Scratch struct {
 	z   []float64
 	ks  *stat.KernelScratch
 
+	// raw and adj count by significance position during one Process or
+	// ProcessBatched call; the call's end adds them into the caller's
+	// Counts and zeroes them, so they are zero between calls.
+	raw, adj []int64
+
 	labs  []int              // batch × N flat labellings
 	zb    []float64          // batch × rows statistics (backing store)
 	moves []stat.Exchange    // batch-1 delta moves (revolving-door path)
@@ -381,6 +446,7 @@ func (p *Prep) ScratchFrom(prev *Scratch) *Scratch {
 	} else {
 		s.z = s.z[:p.M.Rows]
 	}
+	p.ensureCounts(s)
 	// The scalar kernel scratch is sized lazily by Process: the batched
 	// path (the default) never needs it, so eagerly rebuilding it here
 	// would charge every job an allocation it never uses.
@@ -389,6 +455,30 @@ func (p *Prep) ScratchFrom(prev *Scratch) *Scratch {
 		s.bks = &stat.BatchScratch{}
 	}
 	return s
+}
+
+// ensureCounts sizes the positional count buffers for p, reusing
+// capacity; buffers are only ever handed out zeroed (see flush).
+func (p *Prep) ensureCounts(s *Scratch) {
+	if cap(s.raw) < p.Valid {
+		s.raw = make([]int64, p.Valid)
+		s.adj = make([]int64, p.Valid)
+	} else {
+		s.raw = s.raw[:p.Valid]
+		s.adj = s.adj[:p.Valid]
+	}
+}
+
+// flush adds the positional counts of n permutations into c, in c's row
+// order, and zeroes them for the next call.
+func (p *Prep) flush(s *Scratch, c *Counts, n int64) {
+	raw, adj := s.raw[:p.Valid], s.adj[:p.Valid]
+	for j, r := range p.Order[:p.Valid] {
+		c.Raw[r] += raw[j]
+		c.Adj[r] += adj[j]
+		raw[j], adj[j] = 0, 0
+	}
+	c.B += n
 }
 
 // ensureBatch sizes the batch buffers for batches of up to batch
@@ -423,12 +513,16 @@ func (p *Prep) ensureBatch(s *Scratch, batch int) {
 // reference preps).  scratch may be nil, in which case temporary storage
 // is allocated.
 func Process(p *Prep, gen perm.Generator, lo, hi int64, c *Counts, scratch *Scratch) {
+	if lo >= hi {
+		return
+	}
 	if scratch == nil {
 		scratch = p.NewScratch()
 	}
-	if scratch.ks == nil && p.Kernel != nil && lo < hi {
+	if scratch.ks == nil && p.Kernel != nil {
 		scratch.ks = p.Kernel.NewScratch()
 	}
+	p.ensureCounts(scratch)
 	lab, z := scratch.lab, scratch.z
 	for idx := lo; idx < hi; idx++ {
 		gen.Label(idx, lab)
@@ -439,41 +533,54 @@ func Process(p *Prep, gen perm.Generator, lo, hi int64, c *Counts, scratch *Scra
 		} else {
 			p.Kernel.Stats(lab, z, scratch.ks)
 		}
-		p.countPermutation(z, c)
+		p.countPermutation(z, scratch.raw, scratch.adj)
+	}
+	p.flush(scratch, c, hi-lo)
+}
+
+// countPermutation accumulates one permutation's raw and step-down counts
+// by significance position: z[j] is the statistic of M's row j.  It is the
+// single counting path shared by the scalar and batched loops, so the two
+// cannot diverge.  One reverse pass side-transforms each statistic, counts
+// its raw exceedance and carries the successive maximum from the least
+// significant valid position upward.  Each comparison is the one the
+// per-row definition makes, so the counts are exact.
+func (p *Prep) countPermutation(z []float64, raw, adj []int64) {
+	sobs := p.sobs
+	z, raw, adj = z[:len(sobs)], raw[:len(sobs)], adj[:len(sobs)]
+	// The side transform as sign-bit operations: clearing the sign is
+	// math.Abs and flipping it is negation, bit for bit.
+	keep, flip := ^uint64(0), uint64(0)
+	switch p.Side {
+	case Abs:
+		keep = ^signBit
+	case Lower:
+		flip = signBit
+	}
+	u := math.Inf(-1)
+	for j := len(sobs) - 1; j >= 0; j-- {
+		t := math.Float64frombits(math.Float64bits(z[j])&keep ^ flip)
+		if t != t {
+			t = math.Inf(-1) // NaN never exceeds and never raises the max
+		}
+		o := sobs[j]
+		raw[j] += b2i(t >= o)
+		if t > u {
+			u = t
+		}
+		adj[j] += b2i(u >= o)
 	}
 }
 
-// countPermutation side-transforms one permutation's statistics in place
-// and accumulates its raw and step-down counts into c.  It is the single
-// counting path shared by the scalar and batched loops, so the two cannot
-// diverge.
-func (p *Prep) countPermutation(z []float64, c *Counts) {
-	order, obs := p.Order, p.Obs
-	for i, t := range z {
-		if math.IsNaN(t) {
-			z[i] = math.Inf(-1) // never exceeds, never raises the max
-		} else {
-			z[i] = p.Side.transform(t)
-		}
+const signBit = uint64(1) << 63
+
+// b2i is 1 for true and 0 for false; the compiler emits it without a
+// branch, which matters where the outcome is a coin flip.
+func b2i(b bool) int64 {
+	if b {
+		return 1
 	}
-	// Raw counts: per-row comparison.
-	for i := range z {
-		if !math.IsNaN(obs[i]) && z[i] >= obs[i] {
-			c.Raw[i]++
-		}
-	}
-	// Successive maxima from the least significant valid row upward.
-	u := math.Inf(-1)
-	for j := p.Valid - 1; j >= 0; j-- {
-		r := order[j]
-		if z[r] > u {
-			u = z[r]
-		}
-		if u >= obs[r] {
-			c.Adj[r]++
-		}
-	}
-	c.B++
+	return 0
 }
 
 // ProcessBatched is Process with the permutation loop inverted: the chunk
@@ -505,6 +612,7 @@ func ProcessBatched(p *Prep, gen perm.Generator, lo, hi int64, c *Counts, scratc
 		batch = int(span)
 	}
 	p.ensureBatch(scratch, batch)
+	p.ensureCounts(scratch)
 	dk, okDK := p.Kernel.(stat.DeltaKernel)
 	dg, okDG := gen.(perm.DeltaGenerator)
 	useDelta := okDK && okDG && dk.DeltaOK()
@@ -526,9 +634,10 @@ func ProcessBatched(p *Prep, gen perm.Generator, lo, hi int64, c *Counts, scratc
 			bk.StatsBatch(labs, out, scratch.bks)
 		}
 		for bp := 0; bp < nb; bp++ {
-			p.countPermutation(out.Row(bp), c)
+			p.countPermutation(out.Row(bp), scratch.raw, scratch.adj)
 		}
 	}
+	p.flush(scratch, c, hi-lo)
 }
 
 // Result carries the outputs of a maxT run, in the original row order.

@@ -29,6 +29,11 @@ func TestSubsetCountsBitwiseEqualFullPrep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("prefix %d: %v", prefix, err)
 		}
+		// A subset is a re-slice of its parent's significance-ordered
+		// matrix, not a copy.
+		if &sub.M.Data[0] != &p.M.Data[prefix*p.M.Cols] {
+			t.Fatalf("prefix %d: subset matrix does not share the parent's backing array", prefix)
+		}
 		subCounts := NewCounts(sub.Rows())
 		Process(sub, perm.NewRandom(p.Design, 21, B), 0, B, subCounts, nil)
 		for si, r := range rows {
@@ -83,6 +88,17 @@ func TestSubsetValidation(t *testing.T) {
 	pn := mustPrep(t, x, stat.Welch, tinyLabels, Abs)
 	if _, err := pn.Subset([]int{1}); err == nil {
 		t.Error("NaN-statistic row accepted into a subset")
+	}
+	// Only a contiguous run of the significance order is a subset.
+	o := p.Order
+	for _, rows := range [][]int{
+		{o[0], o[2]},       // a gap
+		{o[1], o[0]},       // out of order
+		{o[0], o[1], o[1]}, // a repeat
+	} {
+		if _, err := p.Subset(rows); err == nil {
+			t.Errorf("non-contiguous rows %v accepted (order %v)", rows, o)
+		}
 	}
 }
 
